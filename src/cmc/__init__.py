@@ -30,7 +30,6 @@ from .codec import (
     in_coding_domain,
     offspine_decomposition,
     spine,
-    splitting_node,
 )
 from .dsl import parse, parse_pattern, parse_schedule, print_measure, print_schedule
 from .errors import (

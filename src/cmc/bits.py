@@ -18,6 +18,14 @@ def check_bitstring(s):
     return s
 
 
+def check_natural(n, what):
+    """``n`` if it is a natural number; a depth, count or budget below zero
+    would make a search vacuous or endless."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"{what} must be a natural number, got {n!r}")
+    return n
+
+
 def sibling(s):
     """The other child of the parent of ``s``."""
     if not s:

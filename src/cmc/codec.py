@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bits import check_natural
 from .errors import BudgetExceeded, NotInCodingDomain, ZeroMass
 from .measures import MeasureCode, ONE, ZERO
 
@@ -23,27 +24,6 @@ TWO_THIRDS = Fraction(2, 3)
 ONE_THIRD = Fraction(1, 3)
 
 _UNBOUNDED = float("inf")
-
-
-def splitting_node(code, s, budget):
-    """Shortlex-least ``t`` extending ``s`` whose children both have positive
-    mass, searching extensions of length at most ``len(s) + budget``."""
-    if code.mass(s) == 0:
-        raise ZeroMass(f"cylinder {s!r} has zero mass")
-    # Frontier of positive-mass extensions at the current length, in lex
-    # order.  None of them split (else we returned), so each has at most one
-    # positive child and the frontier never grows.
-    frontier = [s]
-    for _ in range(budget + 1):
-        for t in frontier:
-            if code.mass(t + "0") > 0 and code.mass(t + "1") > 0:
-                return t
-        frontier = [t + b for t in frontier for b in "01" if code.mass(t + b) > 0]
-        if not frontier:
-            break
-    raise BudgetExceeded(
-        f"no splitting node extending {s!r} within {budget} levels"
-    )
 
 
 class _SpineCache:
@@ -89,25 +69,20 @@ class _SpineCache:
                 t + b for t in self._frontier for b in "01" if code.mass(t + b) > 0
             ]
 
-    def ensure_count(self, count, budget):
-        while len(self.nodes) < count:
-            if self._step(_UNBOUNDED, budget) != "found":
-                raise BudgetExceeded("spine ended: no further splitting node")
-
-    def ensure_all_up_to_length(self, length, budget):
-        """Materialize every spine node of length <= ``length``; decidable
-        whenever each intermediate search settles within ``budget`` levels."""
-        while True:
-            if self.nodes and len(self.nodes[-1]) > length:
+    def extend(self, budget, count=0, length=None, cap=_UNBOUNDED):
+        """Search on until at least ``count`` nodes are known and, when
+        ``length`` is given, the last of them is at least that long.  Nodes
+        longer than ``cap`` are not sought: a capped search stops quietly
+        there, or where the spine ends, and can resume later; an uncapped
+        search raises BudgetExceeded when the spine ends."""
+        nodes = self.nodes
+        while len(nodes) < count or (
+            length is not None and (not nodes or len(nodes[-1]) < length)
+        ):
+            if self._step(cap, budget) != "found":
+                if cap == _UNBOUNDED:
+                    raise BudgetExceeded("spine ended: no further splitting node")
                 return
-            if self._step(length, budget) != "found":
-                return
-
-    def ensure_path_length(self, length, budget):
-        """Extend until the last node has length >= ``length``."""
-        while not self.nodes or len(self.nodes[-1]) < length:
-            if self._step(_UNBOUNDED, budget) != "found":
-                raise BudgetExceeded("spine ended: no further splitting node")
 
     def path(self, length):
         for t in self.nodes:
@@ -117,11 +92,9 @@ class _SpineCache:
 
 
 def _spine_cache(code):
-    cache = getattr(code, "_spine", None)
-    if cache is None:
-        cache = _SpineCache(code)
-        code._spine = cache
-    return cache
+    if code._spine is None:
+        code._spine = _SpineCache(code)
+    return code._spine
 
 
 @dataclass(frozen=True)
@@ -138,8 +111,9 @@ def spine(code, n, budget=DEFAULT_BUDGET):
     ``t_0`` is the least splitting node at all (the root, when the root
     splits); thereafter ``t_{k+1}`` extends ``t_k + '0'``.
     """
+    check_natural(n, "spine index")
     cache = _spine_cache(code)
-    cache.ensure_count(n + 1, budget)
+    cache.extend(check_natural(budget, "budget"), count=n + 1)
     return SplittingSpine(tuple(cache.nodes[: n + 1]), code)
 
 
@@ -168,14 +142,14 @@ class CodedMeasure(MeasureCode):
         """Index of ``s`` in the base's spine, or None.  Decides membership by
         materializing all base spine nodes of length <= len(s)."""
         cache = _spine_cache(self.base)
-        cache.ensure_all_up_to_length(len(s), self.budget)
+        cache.extend(self.budget, length=len(s) + 1, cap=len(s))
         return cache.index.get(s)
 
     def _mass_raw(self, s):
         if not s:
             return ONE
         parent, child = s[:-1], s[-1]
-        gp = self.mass(parent)
+        gp = self._parent_mass(s)
         if gp == 0:
             return ZERO
         fp = self.base.mass(parent)
@@ -205,44 +179,34 @@ def encode(base, payload, budget=DEFAULT_BUDGET):
     return CodedMeasure(base, payload, budget)
 
 
-def _read_spine_bit(g, node):
-    """Payload bit stamped at a spine node, or None if neither exact ratio
-    pattern holds."""
-    gm = g.mass(node)
-    c0 = g.mass(node + "0")
-    c1 = g.mass(node + "1")
-    if 3 * c0 == 2 * gm and 3 * c1 == gm:
-        return 1
-    if 3 * c0 == gm and 3 * c1 == 2 * gm:
-        return 0
-    return None
-
-
 def decode(g, k, budget=DEFAULT_BUDGET):
     """First ``k`` payload bits read off the spine of ``g``.
 
     Raises NotInCodingDomain at the first spine node where neither exact
     ratio pattern holds.
     """
+    check_natural(k, "k")
     cache = _spine_cache(g)
-    cache.ensure_count(k, budget)
+    cache.extend(check_natural(budget, "budget"), count=k)
     out = []
-    for n in range(k):
-        bit = _read_spine_bit(g, cache.nodes[n])
-        if bit is None:
-            raise NotInCodingDomain(n, cache.nodes[n])
-        out.append(str(bit))
+    for n, node in enumerate(cache.nodes[:k]):
+        gm, c0, c1 = g.mass(node), g.mass(node + "0"), g.mass(node + "1")
+        if 3 * c0 == 2 * gm and 3 * c1 == gm:
+            out.append("1")
+        elif 3 * c0 == gm and 3 * c1 == 2 * gm:
+            out.append("0")
+        else:
+            raise NotInCodingDomain(n, node)
     return "".join(out)
 
 
 def in_coding_domain(g, k, budget=DEFAULT_BUDGET):
     """True iff the first ``k`` spine ratio checks pass exactly; otherwise
     ``(False, n, t_n)`` with the first failing index and node."""
-    cache = _spine_cache(g)
-    cache.ensure_count(k, budget)
-    for n in range(k):
-        if _read_spine_bit(g, cache.nodes[n]) is None:
-            return (False, n, cache.nodes[n])
+    try:
+        decode(g, k, budget)
+    except NotInCodingDomain as err:
+        return (False, err.index, err.node)
     return True
 
 
@@ -279,7 +243,7 @@ def density_limit(g, prefix):
     if not isinstance(g, CodedMeasure):
         raise TypeError("density_limit is defined for encoded measures")
     cache = _spine_cache(g.base)
-    cache.ensure_path_length(len(prefix), g.budget)
+    cache.extend(g.budget, length=len(prefix))
     if cache.path(len(prefix)) == prefix:
         return NOT_YET_STABLE
     return Stabilized(density(g, prefix))
@@ -290,10 +254,10 @@ def offspine_decomposition(code, depth, budget=DEFAULT_BUDGET):
     leave it: the roots of the cylinders on which the encoder's density ratio
     is constant.  Together with the depth-``depth`` spine prefix they cover
     everything."""
-    if depth == 0:
+    if check_natural(depth, "depth") == 0:
         return []
     cache = _spine_cache(code)
-    cache.ensure_path_length(depth, budget)
+    cache.extend(check_natural(budget, "budget"), length=depth)
     path = cache.path(depth)
     return [
         path[: j - 1] + ("1" if path[j - 1] == "0" else "0") for j in range(1, depth + 1)

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import BitSequence, difference_summary
+from .bits import BitSequence, check_natural, difference_summary
 from .dyadic import sqrt_bounds
 
 
 def ei_partial_sum(x, y, N):
     """Exact ``sum_{n<N} |x(n)-y(n)|/(n+1)``."""
+    check_natural(N, "N")
     return sum(
         (Fraction(1, n + 1) for n in range(N) if x[n] != y[n]), Fraction(0)
     )
@@ -34,8 +35,11 @@ class DivergenceCertificate:
 
 @dataclass(frozen=True)
 class Inconclusive:
-    """Budget ran out before a decision; carries what was seen."""
+    """Budget ran out before a decision; carries what was seen: the best gap
+    and its depth for orthogonality searches, else only a detail line."""
 
+    best_gap: Fraction = None
+    at_depth: int = None
     detail: str = ""
 
 
@@ -45,13 +49,14 @@ def ei_divergence_certificate(x, y, target, budget):
     target = Fraction(target)
     if target <= 0:
         raise ValueError("target must be positive")
+    check_natural(budget, "budget")
     total = Fraction(0)
     for n in range(budget):
         if x[n] != y[n]:
             total += Fraction(1, n + 1)
             if total >= target:
                 return DivergenceCertificate(n + 1, total, target)
-    return Inconclusive(f"partial sum {total} < {target} at N={budget}")
+    return Inconclusive(detail=f"partial sum {total} < {target} at N={budget}")
 
 
 @dataclass(frozen=True)
@@ -73,13 +78,14 @@ DEFAULT_DIVERGENCE_TARGET = Fraction(3)
 def classify_pair(x, y, budget, target=DEFAULT_DIVERGENCE_TARGET):
     """Equivalence from declared finite-difference metadata, orthogonality
     from a divergence certificate, else Inconclusive."""
+    check_natural(budget, "budget")
     kind, positions = difference_summary(x, y)
     if kind == "finite" and all(p < budget for p in positions):
         return EquivalentFiniteDifference(max(positions, default=0))
     cert = ei_divergence_certificate(x, y, target, budget)
     if isinstance(cert, DivergenceCertificate):
         return OrthogonalEvidence(cert)
-    return Inconclusive(cert.detail)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +106,7 @@ def hellinger_partial(a, b, N, precision_bits):
     Each of the two roots per term is enclosed to ``precision_bits + 1`` bits,
     so the total width is at most ``N * 2**-precision_bits``.
     """
+    check_natural(N, "N")
     if precision_bits < 1:
         raise ValueError("precision_bits must be at least 1")
     bits = precision_bits + 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bits
-from .bits import shortlex_string, check_bitstring
+from .bits import check_bitstring, check_natural, shortlex_string
 from .errors import SemanticError
 from .schedules import ConstantSchedule, Schedule
 
@@ -35,6 +35,7 @@ class MeasureCode:
 
     def __init__(self):
         self._memo = {}
+        self._spine = None  # the codec's lazily grown splitting spine
 
     def mass(self, s):
         v = self._memo.get(s)
@@ -42,6 +43,21 @@ class MeasureCode:
             check_bitstring(s)
             v = self._mass_raw(s)
             self._memo[s] = v
+        return v
+
+    def _parent_mass(self, s):
+        """Mass of ``s[:-1]``, for codes that derive a cylinder from its
+        parent.  Missing ancestors are evaluated shortest first, from the
+        deepest memoized one down, so no evaluation recurses more than one
+        level."""
+        memo = self._memo
+        v = memo.get(s[:-1])
+        if v is None:
+            n = len(s) - 2
+            while n >= 0 and s[:n] not in memo:
+                n -= 1
+            for k in range(n + 1, len(s)):
+                v = self.mass(s[:k])
         return v
 
     def _mass_raw(self, s):
@@ -144,7 +160,7 @@ class ProductCode(MeasureCode):
         if not s:
             return ONE
         a = self.schedule.alpha(len(s) - 1)
-        return self.mass(s[:-1]) * (a if s[-1] == "0" else 1 - a)
+        return self._parent_mass(s) * (a if s[-1] == "0" else 1 - a)
 
     def product_schedule(self):
         return self.schedule
@@ -183,7 +199,7 @@ class TableCode(MeasureCode):
             return self.entries[s]
         if not s:
             return ONE
-        parent = self.mass(s[:-1])
+        parent = self._parent_mass(s)
         sib = bits.sibling(s)
         if sib in self.entries:
             return parent - self.entries[sib]
@@ -221,6 +237,7 @@ def validate_additivity(code, depth):
 
     Returns ``"ok"`` or the first :class:`Violation` in shortlex order.
     """
+    check_natural(depth, "depth")
     root = code.mass("")
     if root != 1:
         return Violation("", root, ONE)
@@ -277,6 +294,7 @@ def metric_bracket(f, g, N):
     strings and ``hi = lo + 2**-N`` (the tail is at most the remaining
     geometric mass).
     """
+    check_natural(N, "N")
     lo = ZERO
     for n in range(N):
         s = shortlex_string(n)

@@ -11,20 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
+from .bits import check_natural
 from .errors import BudgetExceeded
-from .kakutani import perfect_family
+from .kakutani import Inconclusive, perfect_family
 from .measures import CylinderFamily, ZERO, product_code
-from .productgap import (
-    MIM_MAX_DEPTH,
-    binomial_masses,
-    mim_masses,
-    tv_upper_bound,
-)
+from .productgap import MIM_MAX_DEPTH, binomial_masses, mim_masses, tv_upper_bound
 from .schedules import ConstantSchedule, ks_schedule
 
-_ENUM_DEPTH = 16  # exhaustive level enumeration up to 2**16 cells
-_GENERIC_DEPTH = 22  # recursive sweep limit without product structure
+_ENUM_DEPTH = 16  # product pairs deeper than this get the affinity prefilter
+_GENERIC_DEPTH = 22  # level-walk limit without product structure
 _CELL_LIMIT = 1 << 18  # largest certificate cell set materialized
 _PROBE_DEPTH = 12  # reported gap depth when a sweep is pre-filtered away
 
@@ -36,19 +33,19 @@ def _probs(code, d):
     return [sched.alpha(n) for n in range(d)]
 
 
-def _masses_above_rec(mu, nu, s, rem):
-    """(mu, nu) mass of the depth-``rem`` cells below ``s`` where nu > mu."""
-    v = nu.mass(s)
-    if v == 0:
-        return ZERO, ZERO
-    m = mu.mass(s)
-    if m == 0:
-        return ZERO, v
-    if rem == 0:
-        return (m, v) if v > m else (ZERO, ZERO)
-    m0, v0 = _masses_above_rec(mu, nu, s + "0", rem - 1)
-    m1, v1 = _masses_above_rec(mu, nu, s + "1", rem - 1)
-    return m0 + m1, v0 + v1
+def _level_cells(code, d, whole=None):
+    """The level-``d`` cells of positive ``code``-mass, in lex order.  The
+    walk never descends below a zero-mass cylinder, and a shallower cell
+    where ``whole(s)`` holds is yielded in place of its level-d cells."""
+    stack = [""]
+    while stack:
+        s = stack.pop()
+        if code.mass(s) == 0:
+            continue
+        if len(s) == d or (whole is not None and whole(s)):
+            yield s
+        else:
+            stack += (s + "1", s + "0")
 
 
 def _masses_above(mu, nu, d):
@@ -60,23 +57,27 @@ def _masses_above(mu, nu, d):
     if sa is not None and sb is not None:
         if isinstance(sa, ConstantSchedule) and isinstance(sb, ConstantSchedule):
             return binomial_masses(sa.value, sb.value, d)
-        if d > _ENUM_DEPTH:
-            if d > MIM_MAX_DEPTH:
-                raise BudgetExceeded(
-                    f"depth {d} beyond the factorized-sweep limit {MIM_MAX_DEPTH}"
-                )
-            return mim_masses(_probs(mu, d), _probs(nu, d), d)
+        if d > MIM_MAX_DEPTH:
+            raise BudgetExceeded(
+                f"depth {d} beyond the factorized-sweep limit {MIM_MAX_DEPTH}"
+            )
+        return mim_masses(_probs(mu, d), _probs(nu, d), d)
     if d > _GENERIC_DEPTH:
-        raise BudgetExceeded(
-            f"depth {d} needs product structure on both codes"
-        )
-    return _masses_above_rec(mu, nu, "", d)
+        raise BudgetExceeded(f"depth {d} needs product structure on both codes")
+    # below a cell of zero mu-mass all the nu-mass lies in A
+    mu_a = nu_a = ZERO
+    for s in _level_cells(nu, d, lambda s: mu.mass(s) == 0):
+        m, v = mu.mass(s), nu.mass(s)
+        if v > m:
+            mu_a += m
+            nu_a += v
+    return mu_a, nu_a
 
 
 def gap(mu, nu, d):
     """Depth-d total-variation gap: sum over level-d cells of
     ``max(nu - mu, 0)``; symmetric and nondecreasing in d."""
-    mu_a, nu_a = _masses_above(mu, nu, d)
+    mu_a, nu_a = _masses_above(mu, nu, check_natural(d, "depth"))
     return nu_a - mu_a
 
 
@@ -92,22 +93,11 @@ class OrthoCertificate:
     nu_mass: Fraction
 
 
-@dataclass(frozen=True)
-class Inconclusive:
-    best_gap: Fraction = None
-    at_depth: int = None
-    detail: str = ""
-
-
-def _collect_cells(mu, nu, s, rem, out):
-    if nu.mass(s) == 0:
-        return
-    if rem == 0:
-        if nu.mass(s) > mu.mass(s):
-            out.append(s)
-        return
-    _collect_cells(mu, nu, s + "0", rem - 1, out)
-    _collect_cells(mu, nu, s + "1", rem - 1, out)
+def _check_epsilon(epsilon):
+    epsilon = Fraction(epsilon)
+    if not 0 < epsilon < Fraction(1, 2):
+        raise ValueError("epsilon must lie in (0, 1/2)")
+    return epsilon
 
 
 def ortho_certificate(mu, nu, epsilon, max_depth):
@@ -119,9 +109,8 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
     first: when it already caps every depth's gap below ``1 - 2 epsilon`` no
     certificate can exist in range and the sweep is skipped.
     """
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon < Fraction(1, 2):
-        raise ValueError("epsilon must lie in (0, 1/2)")
+    epsilon = _check_epsilon(epsilon)
+    check_natural(max_depth, "max_depth")
     pa = _probs(mu, max_depth)
     pb = _probs(nu, max_depth)
     if pa is not None and pb is not None and max_depth > _ENUM_DEPTH:
@@ -142,8 +131,7 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
                     f"certificate exists at depth {d} but its cell family "
                     f"is too large to materialize"
                 )
-            cells = []
-            _collect_cells(mu, nu, "", d, cells)
+            cells = [s for s in _level_cells(nu, d) if nu.mass(s) > mu.mass(s)]
             return OrthoCertificate(epsilon, d, CylinderFamily(cells), mu_a, nu_a)
     return Inconclusive(best, best_depth)
 
@@ -173,6 +161,7 @@ def continuity_modulus(mu, epsilon, max_depth):
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    check_natural(max_depth, "max_depth")
     frontier = [""] if mu.mass("") >= epsilon else []
     for n in range(max_depth + 1):
         if not frontier:
@@ -195,17 +184,6 @@ class RefutationWitness:
     stages: tuple  # of (delta, CylinderFamily)
 
 
-def _positive_cells(mu, s, rem, out, limit):
-    if mu.mass(s) == 0:
-        return True
-    if rem == 0:
-        out.append(s)
-        return len(out) <= limit
-    return _positive_cells(mu, s + "0", rem - 1, out, limit) and _positive_cells(
-        mu, s + "1", rem - 1, out, limit
-    )
-
-
 def refute_abs_continuity(mu, nu, epsilon, stages, max_depth):
     """For each dyadic budget ``delta_j = 2**-j`` greedily pack depth-d cells
     of maximal mu-mass under a strict nu-mass budget; a stage succeeds when
@@ -213,13 +191,16 @@ def refute_abs_continuity(mu, nu, epsilon, stages, max_depth):
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if check_natural(stages, "stages") == 0:
+        raise ValueError("stages must be at least 1")
+    check_natural(max_depth, "max_depth")
     found = []
     for j in range(1, stages + 1):
         delta = Fraction(1, 1 << j)
         stage = None
         for d in range(1, max_depth + 1):
-            cells = []
-            if not _positive_cells(mu, "", d, cells, _CELL_LIMIT):
+            cells = list(islice(_level_cells(mu, d), _CELL_LIMIT + 1))
+            if len(cells) > _CELL_LIMIT:
                 break  # too many positive cells to sweep deeper
             cells.sort(
                 key=lambda s: (
@@ -264,6 +245,8 @@ class Extension:
 def extend_family(family, candidates, epsilon, max_depth, recheck=True):
     """First product-measure candidate carrying an orthogonality certificate
     against every family member, with all certificates."""
+    _check_epsilon(epsilon)
+    check_natural(max_depth, "max_depth")
     if recheck:
         for i in range(len(family)):
             for j in range(i + 1, len(family)):
@@ -298,6 +281,9 @@ class FamilyBuildResult:
 
 def build_family(count, epsilon, max_depth, candidates=None):
     """Iterate extend_family from the empty family, consuming candidates."""
+    check_natural(count, "count")
+    _check_epsilon(epsilon)
+    check_natural(max_depth, "max_depth")
     if candidates is None:
         candidates = perfect_family(max(2 * count, 16))
     pool = list(candidates)

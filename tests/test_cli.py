@@ -149,3 +149,34 @@ def test_output_deterministic(capsys):
     first = run(capsys, "certify", "dirac(0)", "uniform", "1/20", "10")
     second = run(capsys, "certify", "dirac(0)", "uniform", "1/20", "10")
     assert first == second
+
+
+# every numeric argument of every subcommand, by position in argv
+_NUMERIC_ARGS = [
+    (("encode", "uniform", "10", "--budget", "8"), [4]),
+    (("decode", "coded(uniform; 10)", "2", "--budget", "8"), [2, 4]),
+    (("gap", "dirac(0)", "uniform", "2"), [3]),
+    (("certify", "dirac(0)", "uniform", "1/20", "10"), [3, 4]),
+    (("modulus", "uniform", "1/4", "32"), [2, 3]),
+    (("refute-ac", "dirac(0)", "uniform", "1/2", "3", "20"), [3, 4, 5]),
+    (("ei-sum", "", "1*", "4"), [3]),
+    (("classify", "0101", "01", "1000"), [3]),
+    (("hellinger", "const(1/4)", "const(1/2)", "10", "20"), [3, 4]),
+    (("metric", "uniform", "dirac(0)", "8"), [3]),
+    (("family", "build", "2", "9/20", "16"), [2, 3, 4]),
+]
+
+
+def _negated():
+    for argv, positions in _NUMERIC_ARGS:
+        for i in positions:
+            # argparse takes "-1/20" for an option unless "--" precedes it
+            sep = ("--",) if "/" in argv[i] else ()
+            yield argv[:i] + sep + ("-" + argv[i],) + argv[i + 1 :]
+
+
+@pytest.mark.parametrize("argv", list(_negated()), ids=" ".join)
+def test_negative_numeric_argument_is_invalid(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[0] == "error: invalid-argument"

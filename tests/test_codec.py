@@ -21,7 +21,6 @@ from cmc import (
     in_coding_domain,
     offspine_decomposition,
     spine,
-    splitting_node,
     validate_additivity,
 )
 from cmc.codec import Stabilized
@@ -51,20 +50,19 @@ def _random_table(rng, depth=6):
     return TableCode(depth, entries)
 
 
-def test_splitting_node_basics():
-    u = Uniform()
-    assert splitting_node(u, "", 4) == ""
-    assert splitting_node(u, "01", 4) == "01"
-    with pytest.raises(ZeroMass):
-        splitting_node(Dirac("0"), "1", 4)
+def test_spine_basics():
+    assert spine(Uniform(), 0, budget=4).nodes == ("",)
     with pytest.raises(BudgetExceeded):
-        splitting_node(Dirac("0"), "", 8)
+        spine(Dirac("0"), 0, budget=8)  # a point mass never splits
 
 
-def test_splitting_node_skips_non_splitting_levels():
+def test_spine_skips_non_splitting_levels():
     # all mass below '0' rides one branch until depth 2, then splits
-    f = FiniteSupport([("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))])
-    assert splitting_node(f, "0", 8) == "00"
+    pairs = [("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))]
+    assert spine(FiniteSupport(pairs), 1, budget=8).nodes == ("", "00")
+    with pytest.raises(BudgetExceeded):
+        # '00' lies a level below the search start '0'
+        spine(FiniteSupport(pairs), 1, budget=0)
 
 
 def test_spine_of_uniform():
@@ -174,6 +172,13 @@ def test_spine_preserved_by_encoding():
     base = _mixed_base()
     g = encode(base, "110010")
     assert spine(g, 6).nodes == spine(base, 6).nodes
+
+
+def test_cold_deep_coded_cylinder():
+    # the base's spine runs down the zeros: "", "0", "00", ...; the payload
+    # stamps the first three nodes, the base's 1/3 takes over below
+    g = encode(ProductCode(ConstantSchedule(F(1, 3))), "101")
+    assert g.mass("0" * 5000) == F(2, 3) * F(1, 3) * F(2, 3) * F(1, 3) ** 4997
 
 
 def test_finite_payload_then_base():

@@ -84,6 +84,18 @@ def test_table_masses():
         TableCode(1, {"00": F(1, 4)})
 
 
+def test_cold_deep_cylinders():
+    # a cold length-5000 cylinder is derived parent by parent, without
+    # recursing once per level
+    s = "01" * 2500
+    p = ProductCode(ConstantSchedule(F(1, 3)))
+    assert p.mass(s) == F(1, 3) ** 2500 * F(2, 3) ** 2500
+    c = Convex([(F(1, 2), ProductCode(ConstantSchedule(F(1, 3)))), (F(1, 2), Uniform())])
+    assert c.mass(s) == (F(1, 3) ** 2500 * F(2, 3) ** 2500 + F(1, 2**5000)) / 2
+    t = TableCode(5000, {"1": F(1, 4)})
+    assert t.mass("0" * 5000) == F(3, 4) / 2**4999
+
+
 def test_validate_additivity_reports_first_violation():
     bad = TableCode(2, {"0": F(1, 3), "00": F(1, 2), "01": F(1, 2)})
     v = validate_additivity(bad, 3)

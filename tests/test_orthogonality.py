@@ -27,7 +27,6 @@ from cmc import (
     refute_abs_continuity,
 )
 from cmc.bits import all_strings_of_length
-from cmc.orthogonality import _masses_above, _masses_above_rec
 from cmc.productgap import binomial_masses, mim_masses, tv_upper_bound
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
@@ -72,7 +71,8 @@ def test_gap_zero_for_identical():
 def test_binomial_path_matches_recursion():
     a = ProductCode(ConstantSchedule(F(1, 3)))
     b = ProductCode(ConstantSchedule(F(2, 3)))
-    assert binomial_masses(F(1, 3), F(2, 3), 10) == _masses_above_rec(a, b, "", 10)
+    mu_a, nu_a = binomial_masses(F(1, 3), F(2, 3), 10)
+    assert nu_a - mu_a == _brute_gap(a, b, 10)
 
 
 def test_mim_path_matches_recursion():
@@ -82,7 +82,8 @@ def test_mim_path_matches_recursion():
     d = 12
     pa = [sa.alpha(n) for n in range(d)]
     pb = [sb.alpha(n) for n in range(d)]
-    assert mim_masses(pa, pb, d) == _masses_above_rec(a, b, "", d)
+    mu_a, nu_a = mim_masses(pa, pb, d)
+    assert nu_a - mu_a == _brute_gap(a, b, d)
 
 
 def test_tv_upper_bound_is_sound():
@@ -153,6 +154,17 @@ def test_refute_abs_continuity_dirac_vs_uniform():
 def test_refute_abs_continuity_inconclusive():
     out = refute_abs_continuity(Uniform(), Uniform(), F(3, 4), 1, 8)
     assert isinstance(out, Inconclusive)
+
+
+def test_refute_abs_continuity_deep_scan():
+    # a point mass against itself: 1200 levels scanned without recursion
+    out = refute_abs_continuity(Dirac("0"), Dirac("0"), F(1, 2), 1, 1200)
+    assert isinstance(out, Inconclusive)
+
+
+def test_refute_abs_continuity_needs_a_stage():
+    with pytest.raises(ValueError):
+        refute_abs_continuity(Dirac("0"), Uniform(), F(1, 2), 0, 8)
 
 
 def test_certificate_implies_refutation_stage():
