@@ -66,6 +66,14 @@ def _pattern(arg):
     return result
 
 
+def _rational(text):
+    """argparse type for a rational; ``1/0`` is rejected like ``abc``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _render(items, indent=0):
     pad = "  " * indent
     lines = []
@@ -309,18 +317,18 @@ def _build_parser():
     p = cmd("certify", _cmd_certify, help="search for an orthogonality certificate")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("epsilon", type=Fraction)
+    p.add_argument("epsilon", type=_rational)
     p.add_argument("max_depth", type=int)
 
     p = cmd("modulus", _cmd_modulus, help="continuity modulus or atom witness")
     p.add_argument("mu")
-    p.add_argument("epsilon", type=Fraction)
+    p.add_argument("epsilon", type=_rational)
     p.add_argument("max_depth", type=int)
 
     p = cmd("refute-ac", _cmd_refute_ac, help="refute absolute continuity")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("epsilon", type=Fraction)
+    p.add_argument("epsilon", type=_rational)
     p.add_argument("stages", type=int)
     p.add_argument("max_depth", type=int)
 
@@ -350,7 +358,7 @@ def _build_parser():
     p = fsub.add_parser("build", help="iterated family extension transcript")
     p.set_defaults(fn=_cmd_family_build)
     p.add_argument("count", type=int)
-    p.add_argument("epsilon", type=Fraction)
+    p.add_argument("epsilon", type=_rational)
     p.add_argument("max_depth", type=int)
 
     return parser

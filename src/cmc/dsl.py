@@ -128,7 +128,13 @@ class _Parser:
         if neg:
             n = -n
         if self.try_lit("/"):
-            return Fraction(n, self.unsigned())
+            self.skip()
+            at = self.pos
+            den = self.unsigned()
+            if not den:
+                self.pos = at
+                self.fail("expected a positive denominator", "positive integer")
+            return Fraction(n, den)
         return Fraction(n)
 
     # grammar productions ---------------------------------------------------

@@ -7,8 +7,9 @@ all ``2**d`` cells:
 * both schedules constant: cells group by their zero-count (binomial form);
 * otherwise: split the coordinates in half, enumerate the ``2**(d/2)`` partial
   products per half as integer numerators over one common denominator, sort
-  one half by the exact likelihood ratio, and sweep the other half against it
-  with suffix sums.  Everything stays in integer arithmetic until the end.
+  both halves by likelihood ratio, and sweep one half against the other with
+  suffix sums.  The sort is a float-log presort, confirmed pair by pair in
+  exact arithmetic; everything else stays in integer arithmetic until the end.
 
 ``tv_upper_bound`` gives a sound rational upper bound on the depth-d gap for
 every depth at once, via the product of per-coordinate Bhattacharyya
@@ -18,7 +19,9 @@ affinities: the gap can never exceed ``sqrt(1 - affinity**2)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, log
+from operator import gt, lt, mul, sub
 
 from .dyadic import sqrt_bounds
 
@@ -55,6 +58,32 @@ def _build_half(aprobs, bprobs, levels):
     return mu, nu, mu_den, nu_den
 
 
+def _ratio_sort(nu, mu, reverse=False):
+    """The cells ``(nu, mu)`` in exact order of ``nu / mu``, ascending unless
+    ``reverse``, as two lists.
+
+    The float ``log(nu) - log(mu)`` only presorts; ``nu / mu`` as a float
+    would overflow at deep levels.  Every adjacent pair is then confirmed by
+    one exact cross-multiplication, and if any pair is out of order an exact
+    insertion pass moves the misplaced cells, so the float never decides the
+    order.
+    """
+    key = list(map(sub, map(log, nu), map(log, mu)))
+    order = sorted(range(len(nu)), key=key.__getitem__, reverse=reverse)
+    nu = list(map(nu.__getitem__, order))
+    mu = list(map(mu.__getitem__, order))
+    misplaced = lt if reverse else gt
+    if any(map(misplaced, map(mul, nu, mu[1:]), map(mul, nu[1:], mu))):
+        for k in range(1, len(nu)):
+            n, m = nu[k], mu[k]
+            j = k
+            while j and misplaced(nu[j - 1] * m, n * mu[j - 1]):
+                nu[j], mu[j] = nu[j - 1], mu[j - 1]
+                j -= 1
+            nu[j], mu[j] = n, m
+    return nu, mu
+
+
 def mim_masses(aprobs, bprobs, d):
     """(mu(A), nu(A)) by meet-in-the-middle over the two coordinate halves."""
     if d == 0:
@@ -65,29 +94,30 @@ def mim_masses(aprobs, bprobs, d):
     mu1, nu1, mud1, nud1 = _build_half(aprobs, bprobs, range(mid))
     mu2, nu2, mud2, nud2 = _build_half(aprobs, bprobs, range(mid, d))
 
-    order2 = sorted(range(len(mu2)), key=lambda i: Fraction(nu2[i], mu2[i]))
-    n2 = len(order2)
-    suf_mu = [0] * (n2 + 1)
-    suf_nu = [0] * (n2 + 1)
-    for i in range(n2 - 1, -1, -1):
-        suf_mu[i] = suf_mu[i + 1] + mu2[order2[i]]
-        suf_nu[i] = suf_nu[i + 1] + nu2[order2[i]]
-    ratio2 = [(nu2[i], mu2[i]) for i in order2]
+    nu2, mu2 = _ratio_sort(nu2, mu2)
+    n2 = len(nu2)
+    suf_mu = list(accumulate(reversed(mu2), initial=0))[::-1]
+    suf_nu = list(accumulate(reversed(nu2), initial=0))[::-1]
 
-    order1 = sorted(range(len(mu1)), key=lambda i: Fraction(nu1[i], mu1[i]), reverse=True)
+    nu1, mu1 = _ratio_sort(nu1, mu1, reverse=True)
     mu_den = mud1 * mud2
     nu_den = nud1 * nud2
-    mu_num = nu_num = 0
-    j = 0
     # A cell is in A iff nu1*nu2/nu_den > mu1*mu2/mu_den.  Half-1 thresholds
-    # ascend along order1, so j only advances.
-    for i in order1:
-        lhs = nu1[i] * mu_den
-        rhs = mu1[i] * nu_den
-        while j < n2 and lhs * ratio2[j][0] <= rhs * ratio2[j][1]:
+    # ascend along the sorted half 1, so j, the first half-2 partner in A,
+    # only advances.  Many half-1 cells share one j: they are summed per j,
+    # and each suffix sum is multiplied once.
+    mu_at = [0] * (n2 + 1)
+    nu_at = [0] * (n2 + 1)
+    j = 0
+    for n1, m1 in zip(nu1, mu1):
+        lhs = n1 * mu_den
+        rhs = m1 * nu_den
+        while j < n2 and lhs * nu2[j] <= rhs * mu2[j]:
             j += 1
-        mu_num += mu1[i] * suf_mu[j]
-        nu_num += nu1[i] * suf_nu[j]
+        mu_at[j] += m1
+        nu_at[j] += n1
+    mu_num = sum(map(mul, mu_at, suf_mu))
+    nu_num = sum(map(mul, nu_at, suf_nu))
     return Fraction(mu_num, mu_den), Fraction(nu_num, nu_den)
 
 

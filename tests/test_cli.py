@@ -1,5 +1,11 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cmc import parse, print_measure
 from cmc.cli import main
 
 
@@ -180,3 +186,91 @@ def test_negative_numeric_argument_is_invalid(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert out.splitlines()[0] == "error: invalid-argument"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "dirac(0)", "uniform", "1/0", "10"),
+        ("modulus", "uniform", "1/0", "32"),
+        ("refute-ac", "dirac(0)", "uniform", "1/0", "3", "20"),
+        ("family", "build", "2", "1/0", "16"),
+    ],
+    ids=" ".join,
+)
+def test_zero_denominator_argument_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid Fraction value: '1/0'" in err and "Traceback" not in err
+
+
+# DSL fragments, bad ones included: zero denominators and negative numbers.
+# ``coded`` is left out: a coded single-branch base searches its spine up to
+# the default budget, which takes minutes and gigabytes.
+_RATIONAL = st.sampled_from(["0", "1", "2", "-1", "1/2", "1/3", "2/3", "-1/2", "1/0", "0/0", "3/2"])
+_BITS = st.sampled_from(["", "0", "1", "01", "110"])
+_SCHEDULE = st.one_of(
+    st.builds("const({})".format, _RATIONAL),
+    st.builds("ks({})".format, st.sampled_from(["", "0", "1*", "01(10)*", "(1)*", "0*"])),
+    st.builds(
+        "list({}; {})".format,
+        st.lists(_RATIONAL, min_size=1, max_size=3).map(", ".join),
+        st.one_of(st.just("cycle"), st.builds("const({})".format, _RATIONAL)),
+    ),
+)
+# half of the weight lists sum to one, so that many texts are accepted
+_PAIRS = st.one_of(
+    st.sampled_from([[("", "1")], [("0", "1/2"), ("1", "1/2")], [("1", "1/3"), ("0", "2/3")]]),
+    st.lists(st.tuples(_BITS, _RATIONAL), min_size=1, max_size=3),
+)
+_MEASURE = st.recursive(
+    st.one_of(
+        st.just("uniform"),
+        st.builds("dirac({})".format, _BITS),
+        st.builds("product({})".format, _SCHEDULE),
+        _PAIRS.map(lambda ps: "finite({})".format(", ".join(f"{b}: {r}" for b, r in ps))),
+        st.builds(
+            "table({}; {})".format,
+            st.sampled_from(["1", "1", "2", "-1"]),
+            _PAIRS.map(lambda ps: ", ".join(f"{b} = {r}" for b, r in ps)),
+        ),
+    ),
+    lambda inner: st.tuples(_PAIRS, st.lists(inner, min_size=3, max_size=3)).map(
+        lambda t: "convex({})".format(", ".join(f"{w}: {m}" for (_, w), m in zip(*t)))
+    ),
+    max_leaves=4,
+)
+_TOKENS = st.sampled_from(["(", ")", ",", ";", ":", "=", "/", "/0", "-", "*", "0", "1", " ", "uniform"])
+
+
+@st.composite
+def _dsl_text(draw):
+    text = draw(_MEASURE)
+    if draw(st.booleans()):  # damage it: splice a token in
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_TOKENS) + text[at:]
+    return text
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_dsl_text())
+def test_fuzz_dsl_text_through_main(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["eval", text, "01"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        printed = print_measure(parse(text))
+        assert print_measure(parse(printed)) == printed

@@ -127,3 +127,14 @@ def test_schedule_list_round_trip():
     text = "list(1/3, 1/2; const(2/5))"
     assert print_schedule(parse_schedule(text)) == text
     assert print_schedule(parse_schedule("list(1/3; cycle)")) == "list(1/3; cycle)"
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("product(const(1/0))", 17), ("convex(1/0: uniform)", 10), ("table(2; 0 = 1/0)", 16)],
+)
+def test_zero_denominator_is_syntax_error(text, column):
+    d = parse(text)
+    assert isinstance(d, Diagnostic)
+    assert (d.line, d.column) == (1, column)
+    assert d.expected == ("positive integer",)

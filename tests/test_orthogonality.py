@@ -26,8 +26,8 @@ from cmc import (
     product_code,
     refute_abs_continuity,
 )
-from cmc.bits import all_strings_of_length
-from cmc.productgap import binomial_masses, mim_masses, tv_upper_bound
+from cmc.bits import PeriodicBits, all_strings_of_length
+from cmc.productgap import _ratio_sort, binomial_masses, mim_masses, tv_upper_bound
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
 
@@ -84,6 +84,37 @@ def test_mim_path_matches_recursion():
     pb = [sb.alpha(n) for n in range(d)]
     mu_a, nu_a = mim_masses(pa, pb, d)
     assert nu_a - mu_a == _brute_gap(a, b, d)
+
+
+def test_ratio_sort_exact_where_float_keys_tie():
+    # the log keys all read 0.0; only the exact check tells the ratios apart
+    mu = [10**30] * 3
+    nu = [10**30 + 1, 10**30, 10**30 + 2]
+    assert _ratio_sort(nu, mu) == ([10**30, 10**30 + 1, 10**30 + 2], mu)
+    assert _ratio_sort(nu, mu, reverse=True) == ([10**30 + 2, 10**30 + 1, 10**30], mu)
+
+
+def _mim_matches_brute(sa, sb, depths):
+    a, b = ProductCode(sa), ProductCode(sb)
+    for d in depths:
+        pa = [sa.alpha(n) for n in range(d)]
+        pb = [sb.alpha(n) for n in range(d)]
+        mu_a, nu_a = mim_masses(pa, pb, d)
+        assert nu_a - mu_a == _brute_gap(a, b, d), d
+        assert mu_a == sum(a.mass(s) for s in all_strings_of_length(d) if b.mass(s) > a.mass(s))
+
+
+def test_mim_ks_pattern_against_complement():
+    _mim_matches_brute(
+        ks_schedule(PeriodicBits("01", "011")), ks_schedule(PeriodicBits("10", "100")), range(1, 13)
+    )
+
+
+def test_mim_many_exact_ties():
+    # every half-cell ratio is a power of 2 or 1: large groups of exact ties
+    _mim_matches_brute(
+        ExplicitSchedule([F(1, 3), F(2, 3)], "cycle"), ConstantSchedule(F(1, 2)), range(1, 13)
+    )
 
 
 def test_tv_upper_bound_is_sound():
