@@ -9,7 +9,8 @@ class CmcError(Exception):
 
 class BudgetExceeded(CmcError):
     """A splitting-node search (or an evaluation that depends on one) ran past
-    its depth budget without reaching a decision."""
+    its depth budget without reaching a decision, or a gap computation needs
+    more cells than its limit."""
 
     code = "budget-exceeded"
 

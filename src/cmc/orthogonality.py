@@ -17,8 +17,8 @@ from .bits import check_natural
 from .errors import BudgetExceeded
 from .kakutani import Inconclusive, perfect_family
 from .measures import CylinderFamily, ZERO, product_code
-from .productgap import MIM_MAX_DEPTH, binomial_masses, mim_masses, tv_upper_bound
-from .schedules import ConstantSchedule, ks_schedule
+from .productgap import mim_masses, tv_upper_bound
+from .schedules import ks_schedule
 
 _ENUM_DEPTH = 16  # product pairs deeper than this get the affinity prefilter
 _GENERIC_DEPTH = 22  # level-walk limit without product structure
@@ -28,9 +28,7 @@ _PROBE_DEPTH = 12  # reported gap depth when a sweep is pre-filtered away
 
 def _probs(code, d):
     sched = code.product_schedule()
-    if sched is None:
-        return None
-    return [sched.alpha(n) for n in range(d)]
+    return None if sched is None else map(sched.alpha, range(d))
 
 
 def _level_cells(code, d, whole=None):
@@ -50,18 +48,9 @@ def _level_cells(code, d, whole=None):
 
 def _masses_above(mu, nu, d):
     """Exact (mu(A), nu(A)) for the level-d cell set A = {nu > mu}."""
-    if d == 0:
-        return ZERO, ZERO
-    sa = mu.product_schedule()
-    sb = nu.product_schedule()
-    if sa is not None and sb is not None:
-        if isinstance(sa, ConstantSchedule) and isinstance(sb, ConstantSchedule):
-            return binomial_masses(sa.value, sb.value, d)
-        if d > MIM_MAX_DEPTH:
-            raise BudgetExceeded(
-                f"depth {d} beyond the factorized-sweep limit {MIM_MAX_DEPTH}"
-            )
-        return mim_masses(_probs(mu, d), _probs(nu, d), d)
+    pa, pb = _probs(mu, d), _probs(nu, d)
+    if pa is not None and pb is not None:
+        return mim_masses(pa, pb, d)
     if d > _GENERIC_DEPTH:
         raise BudgetExceeded(f"depth {d} needs product structure on both codes")
     # below a cell of zero mu-mass all the nu-mass lies in A
@@ -111,8 +100,7 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
     """
     epsilon = _check_epsilon(epsilon)
     check_natural(max_depth, "max_depth")
-    pa = _probs(mu, max_depth)
-    pb = _probs(nu, max_depth)
+    pa, pb = _probs(mu, max_depth), _probs(nu, max_depth)
     if pa is not None and pb is not None and max_depth > _ENUM_DEPTH:
         bound = tv_upper_bound(pa, pb, max_depth)
         if bound <= 1 - 2 * epsilon:
@@ -198,19 +186,23 @@ def refute_abs_continuity(mu, nu, epsilon, stages, max_depth):
     for j in range(1, stages + 1):
         delta = Fraction(1, 1 << j)
         stage = None
+        cells = [""]
         for d in range(1, max_depth + 1):
-            cells = list(islice(_level_cells(mu, d), _CELL_LIMIT + 1))
+            # the level-d cells of positive mu-mass, in lex order, from level d-1
+            children = (t for s in cells for t in (s + "0", s + "1") if mu.mass(t) != 0)
+            cells = list(islice(children, _CELL_LIMIT + 1))
             if len(cells) > _CELL_LIMIT:
                 break  # too many positive cells to sweep deeper
-            cells.sort(
+            ranked = sorted(
+                cells,
                 key=lambda s: (
                     (1, Fraction(0)) if nu.mass(s) == 0 else (2, -mu.mass(s) / nu.mass(s))
-                )
+                ),
             )
             taken = []
             nu_total = ZERO
             mu_total = ZERO
-            for s in cells:
+            for s in ranked:
                 v = nu.mass(s)
                 if nu_total + v < delta:
                     taken.append(s)

@@ -1,15 +1,16 @@
 """Factorized depth-d total-variation computations for product measures.
 
 For two product measures and the level-d cell set ``A = {cells with nu > mu}``
-these routines return the exact pair ``(mu(A), nu(A))`` without enumerating
-all ``2**d`` cells:
-
-* both schedules constant: cells group by their zero-count (binomial form);
-* otherwise: split the coordinates in half, enumerate the ``2**(d/2)`` partial
-  products per half as integer numerators over one common denominator, sort
-  both halves by likelihood ratio, and sweep one half against the other with
-  suffix sums.  The sort is a float-log presort, confirmed pair by pair in
-  exact arithmetic; everything else stays in integer arithmetic until the end.
+``mim_masses`` returns the exact pair ``(mu(A), nu(A))`` without enumerating
+all ``2**d`` cells, in one sweep.  Coordinates with equal bit-0 probabilities
+do not change any cell's likelihood ratio, so they sum out; the rest group by
+their probability pair, and a class of ``c`` coordinates enters only through
+its zero count, as ``c + 1`` cells with binomial weights.  The classes are
+split into two halves, each half's cells are enumerated as integer numerators
+over one common denominator, both halves are sorted by likelihood ratio, and
+one half is swept against the other with suffix sums (meet in the middle).
+The sort is a float-log presort, confirmed pair by pair in exact arithmetic;
+everything else stays in integer arithmetic until the end.
 
 ``tv_upper_bound`` gives a sound rational upper bound on the depth-d gap for
 every depth at once, via the product of per-coordinate Bhattacharyya
@@ -19,42 +20,31 @@ affinities: the gap can never exceed ``sqrt(1 - affinity**2)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import comb, log
+from itertools import accumulate, islice
+from math import comb, isqrt, log, prod
 from operator import gt, lt, mul, sub
 
 from .dyadic import sqrt_bounds
+from .errors import BudgetExceeded
 
-MIM_MAX_DEPTH = 44  # 2**(d/2) partial products per half
-
-
-def binomial_masses(a, b, d):
-    """(mu(A), nu(A)) for constant bit-0 probabilities ``a`` and ``b``."""
-    mu_a = Fraction(0)
-    nu_a = Fraction(0)
-    for zeros in range(d + 1):
-        mu = a**zeros * (1 - a) ** (d - zeros)
-        nu = b**zeros * (1 - b) ** (d - zeros)
-        if nu > mu:
-            n = comb(d, zeros)
-            mu_a += n * mu
-            nu_a += n * nu
-    return mu_a, nu_a
+MIM_MAX_CELLS = 1 << 22  # cells per half, as for 44 differing coordinates
+MIM_MAX_BITS = 1 << 33  # bits of cell numerators per half: enough for any ks pair at depth 44
 
 
-def _build_half(aprobs, bprobs, levels):
-    """Cell numerators for one block of coordinates, plus the two common
-    denominators."""
+def _build_half(classes):
+    """Cell numerators for a block of coordinate classes, plus the two common
+    denominators.  A class ``((a, b), c)`` of ``c`` coordinates gives one
+    cell per zero count ``k``, weighted by ``comb(c, k)`` in both measures."""
     mu, nu = [1], [1]
     mu_den = nu_den = 1
-    for n in levels:
-        a, b = aprobs[n], bprobs[n]
+    for (a, b), c in classes:
         a0, a1 = a.numerator, a.denominator - a.numerator
         b0, b1 = b.numerator, b.denominator - b.numerator
-        mu = [x * a0 for x in mu] + [x * a1 for x in mu]
-        nu = [x * b0 for x in nu] + [x * b1 for x in nu]
-        mu_den *= a.denominator
-        nu_den *= b.denominator
+        ks = range(c, -1, -1)
+        mu = [x * w for w in [comb(c, k) * a0**k * a1 ** (c - k) for k in ks] for x in mu]
+        nu = [x * w for w in [comb(c, k) * b0**k * b1 ** (c - k) for k in ks] for x in nu]
+        mu_den *= a.denominator**c
+        nu_den *= b.denominator**c
     return mu, nu, mu_den, nu_den
 
 
@@ -85,14 +75,32 @@ def _ratio_sort(nu, mu, reverse=False):
 
 
 def mim_masses(aprobs, bprobs, d):
-    """(mu(A), nu(A)) by meet-in-the-middle over the two coordinate halves."""
-    if d == 0:
-        return Fraction(0), Fraction(0)
-    if d > MIM_MAX_DEPTH:
-        raise ValueError(f"depth {d} beyond factorized-sweep limit {MIM_MAX_DEPTH}")
-    mid = d // 2
-    mu1, nu1, mud1, nud1 = _build_half(aprobs, bprobs, range(mid))
-    mu2, nu2, mud2, nud2 = _build_half(aprobs, bprobs, range(mid, d))
+    """(mu(A), nu(A)) by meet-in-the-middle over the first ``d`` coordinates,
+    grouped by their probability pair ``(a_n, b_n)``.  The probabilities may
+    be iterators; they are read no further than the limits need."""
+    counts = {}  # (a, b) with a != b -> coordinates, in order of first appearance
+    total = 1  # cells of both halves together
+    for pair in islice(zip(aprobs, bprobs), d):
+        if pair[0] != pair[1]:
+            c = counts[pair] = counts.get(pair, 0) + 1
+            total = total // c * (c + 1)
+            if total > MIM_MAX_CELLS**2:
+                break  # the larger half holds at least sqrt(total) cells
+    classes = list(counts.items())
+    # half 1 takes whole classes, in order, while it holds at most sqrt(total) cells
+    limit = isqrt(total)
+    half = sum(s <= limit for s in accumulate((c + 1 for _, c in classes), mul))
+    halves = classes[:half], classes[half:]
+    for part in halves:
+        cells = prod(c + 1 for _, c in part)
+        bits = sum(c * (a.denominator * b.denominator).bit_length() for (a, b), c in part)
+        if cells > MIM_MAX_CELLS or cells * bits > MIM_MAX_BITS:
+            raise BudgetExceeded(
+                f"depth {d} needs more than {MIM_MAX_CELLS} cells or {MIM_MAX_BITS} "
+                f"bits in one half of the product sweep"
+            )
+    mu1, nu1, mud1, nud1 = _build_half(halves[0])
+    mu2, nu2, mud2, nud2 = _build_half(halves[1])
 
     nu2, mu2 = _ratio_sort(nu2, mu2)
     n2 = len(nu2)
@@ -125,8 +133,7 @@ def tv_upper_bound(aprobs, bprobs, d, bits=48):
     """Rational bound: for every depth d' <= d, the depth-d' gap is at most
     the returned value."""
     bc_lo = Fraction(1)
-    for n in range(d):
-        a, b = aprobs[n], bprobs[n]
+    for a, b in islice(zip(aprobs, bprobs), d):
         l1, _ = sqrt_bounds(a * b, bits)
         l2, _ = sqrt_bounds((1 - a) * (1 - b), bits)
         bc_lo *= l1 + l2

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -125,6 +126,20 @@ def test_not_in_coding_domain_exit(capsys):
 
 def test_budget_exceeded_exit(capsys):
     code, out = run(capsys, "decode", "dirac(0)", "1", "--budget", "8")
+    assert code == 2
+    assert out.startswith("error: budget-exceeded\n")
+
+
+def test_gap_past_depth_44_on_few_differing_coordinates(capsys):
+    # the pair differs on every other coordinate: 30 of the first 60
+    code, out = run(capsys, "gap", "product(ks(0(1)*))", "product(ks(0(10)*))", "60")
+    assert code == 0
+    assert re.fullmatch(r"\d+/\d+\n", out)
+
+
+def test_gap_beyond_sweep_limit_is_budget_exceeded(capsys):
+    # every coordinate differs: 2**23 cells in one half at depth 45
+    code, out = run(capsys, "gap", "product(ks(0*))", "product(ks(1*))", "45")
     assert code == 2
     assert out.startswith("error: budget-exceeded\n")
 

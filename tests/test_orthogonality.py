@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from itertools import count, repeat
+from math import comb
 
 import pytest
 
@@ -27,7 +29,8 @@ from cmc import (
     refute_abs_continuity,
 )
 from cmc.bits import PeriodicBits, all_strings_of_length
-from cmc.productgap import _ratio_sort, binomial_masses, mim_masses, tv_upper_bound
+from cmc.errors import BudgetExceeded
+from cmc.productgap import _ratio_sort, mim_masses, tv_upper_bound
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
 
@@ -68,24 +71,6 @@ def test_gap_zero_for_identical():
     assert gap(Uniform(), Uniform(), 10) == 0
 
 
-def test_binomial_path_matches_recursion():
-    a = ProductCode(ConstantSchedule(F(1, 3)))
-    b = ProductCode(ConstantSchedule(F(2, 3)))
-    mu_a, nu_a = binomial_masses(F(1, 3), F(2, 3), 10)
-    assert nu_a - mu_a == _brute_gap(a, b, 10)
-
-
-def test_mim_path_matches_recursion():
-    sa = ExplicitSchedule([F(1, 3), F(1, 2), F(2, 5)], "cycle")
-    sb = ExplicitSchedule([F(1, 4)], ("const", F(3, 5)))
-    a, b = ProductCode(sa), ProductCode(sb)
-    d = 12
-    pa = [sa.alpha(n) for n in range(d)]
-    pb = [sb.alpha(n) for n in range(d)]
-    mu_a, nu_a = mim_masses(pa, pb, d)
-    assert nu_a - mu_a == _brute_gap(a, b, d)
-
-
 def test_ratio_sort_exact_where_float_keys_tie():
     # the log keys all read 0.0; only the exact check tells the ratios apart
     mu = [10**30] * 3
@@ -94,7 +79,7 @@ def test_ratio_sort_exact_where_float_keys_tie():
     assert _ratio_sort(nu, mu, reverse=True) == ([10**30 + 2, 10**30 + 1, 10**30], mu)
 
 
-def _mim_matches_brute(sa, sb, depths):
+def _sweep_matches_brute(sa, sb, depths):
     a, b = ProductCode(sa), ProductCode(sb)
     for d in depths:
         pa = [sa.alpha(n) for n in range(d)]
@@ -104,17 +89,75 @@ def _mim_matches_brute(sa, sb, depths):
         assert mu_a == sum(a.mass(s) for s in all_strings_of_length(d) if b.mass(s) > a.mass(s))
 
 
+def test_sweep_constant_pair_matches_brute():
+    # one class of coordinates: cells by zero count, binomial weights
+    _sweep_matches_brute(ConstantSchedule(F(1, 3)), ConstantSchedule(F(2, 3)), range(0, 11))
+
+
+def test_sweep_explicit_pair_matches_brute():
+    _sweep_matches_brute(
+        ExplicitSchedule([F(1, 3), F(1, 2), F(2, 5)], "cycle"),
+        ExplicitSchedule([F(1, 4)], ("const", F(3, 5))),
+        range(0, 13),
+    )
+
+
 def test_mim_ks_pattern_against_complement():
-    _mim_matches_brute(
+    _sweep_matches_brute(
         ks_schedule(PeriodicBits("01", "011")), ks_schedule(PeriodicBits("10", "100")), range(1, 13)
     )
 
 
 def test_mim_many_exact_ties():
     # every half-cell ratio is a power of 2 or 1: large groups of exact ties
-    _mim_matches_brute(
+    _sweep_matches_brute(
         ExplicitSchedule([F(1, 3), F(2, 3)], "cycle"), ConstantSchedule(F(1, 2)), range(1, 13)
     )
+
+
+def test_sweep_sums_out_equal_coordinates():
+    # coordinates 1, 3 and 4 of each cycle carry equal probabilities
+    _sweep_matches_brute(
+        ExplicitSchedule([F(1, 3), F(1, 2), F(2, 5), F(1, 2), F(1, 4)], "cycle"),
+        ExplicitSchedule([F(1, 2), F(1, 2), F(3, 5), F(1, 2), F(1, 4)], "cycle"),
+        range(0, 13),
+    )
+
+
+def test_sweep_perfect_family_pair_at_depth_48():
+    # members 0 and 6 differ on 6 of their first 48 coordinates
+    x, y = perfect_family(16)[0], perfect_family(16)[6]
+    sx, sy = ks_schedule(x), ks_schedule(y)
+    differ = [n for n in range(48) if x[n] != y[n]]
+    assert len(differ) == 6
+    mu, nu = ProductCode(sx), ProductCode(sy)
+    short_mu = ProductCode(ExplicitSchedule([sx.alpha(n) for n in differ], "cycle"))
+    short_nu = ProductCode(ExplicitSchedule([sy.alpha(n) for n in differ], "cycle"))
+    assert gap(mu, nu, 48) == _brute_gap(short_mu, short_nu, 6)
+
+
+def test_sweep_cycle_against_const_at_depth_200():
+    # a cell's masses depend only on its zero counts i, j on the even and
+    # the odd coordinates
+    mu = ProductCode(ExplicitSchedule([F(1, 3), F(2, 3)], "cycle"))
+    nu = ProductCode(ConstantSchedule(F(1, 2)))
+    h = 100
+    want = sum(
+        comb(h, i) * comb(h, j) * max(F(1, 4**h) - F(2 ** (h - i + j), 9**h), F(0))
+        for i in range(h + 1)
+        for j in range(h + 1)
+    )
+    assert gap(mu, nu, 2 * h) == want
+
+
+def test_sweep_limits():
+    # every coordinate differs: 45 of them put 2**23 cells in one half, and
+    # the probabilities past them are never read
+    with pytest.raises(BudgetExceeded):
+        mim_masses((F(1, n + 3) for n in count()), repeat(F(1, 2)), 10**9)
+    # one class of c coordinates: c + 1 cells of 6c bits each
+    with pytest.raises(BudgetExceeded):
+        mim_masses(repeat(F(1, 7)), repeat(F(3, 7)), 37837)
 
 
 def test_tv_upper_bound_is_sound():
@@ -191,6 +234,25 @@ def test_refute_abs_continuity_deep_scan():
     # a point mass against itself: 1200 levels scanned without recursion
     out = refute_abs_continuity(Dirac("0"), Dirac("0"), F(1, 2), 1, 1200)
     assert isinstance(out, Inconclusive)
+
+
+def _refutation_mass_calls(max_depth):
+    class CountingDirac(Dirac):
+        calls = 0
+
+        def mass(self, s):
+            CountingDirac.calls += 1
+            return super().mass(s)
+
+    out = refute_abs_continuity(CountingDirac("0"), CountingDirac("0"), F(1, 2), 1, max_depth)
+    assert isinstance(out, Inconclusive)
+    return CountingDirac.calls
+
+
+def test_refute_abs_continuity_scan_is_linear():
+    # each depth extends the cells of the one before instead of walking
+    # again from the root
+    assert _refutation_mass_calls(200) <= 2.2 * _refutation_mass_calls(100)
 
 
 def test_refute_abs_continuity_needs_a_stage():
