@@ -91,12 +91,14 @@ class Dirac(MeasureCode):
         if isinstance(branch, str):
             branch = bits.from_bits(branch)
         self.branch = branch
+        self._prefix = ""  # the branch's first bits, grown on demand
 
     def _mass_raw(self, s):
-        for k, c in enumerate(s):
-            if int(c) != self.branch[k]:
-                return ZERO
-        return ONE
+        prefix = self._prefix
+        if len(s) > len(prefix):
+            grown = range(len(prefix), max(len(s), 2 * len(prefix)))
+            prefix = self._prefix = prefix + "".join(map(str, map(self.branch.__getitem__, grown)))
+        return ONE if prefix.startswith(s) else ZERO
 
     def __repr__(self):
         return f"Dirac({self.branch!r})"

@@ -9,8 +9,19 @@ its zero count, as ``c + 1`` cells with binomial weights.  The classes are
 split into two halves, each half's cells are enumerated as integer numerators
 over one common denominator, both halves are sorted by likelihood ratio, and
 one half is swept against the other with suffix sums (meet in the middle).
-The sort is a float-log presort, confirmed pair by pair in exact arithmetic;
-everything else stays in integer arithmetic until the end.
+
+Every ordering test compares float logarithms first and decides in exact
+integer arithmetic only inside a proven guard band.  For an int ``n >= 1``,
+``math.log`` rounds ``n`` to a double, or to a 53-bit mantissa times ``2**e``
+when ``n`` overflows one, and adds ``e * log(2)``; with a libm ``log`` within
+one ulp its result is within ``2**-50 * (1 + B)`` of ``ln n`` when ``n`` has
+at most ``B`` bits.  Each float the sweep compares is two or four such logs
+combined by at most three rounded subtractions, so two compared floats are
+off from their exact difference by less than ``2**-47 * (1 + B)``, ``B`` the
+largest bit length involved.  The band is ``GUARD * (1 + B)``, ``2**17`` times
+that bound: floats further apart than the band are in exact order, and
+closer ones, exact ties among them, are settled by cross-multiplication.  So
+a float never decides which cells are in ``A``.
 
 ``tv_upper_bound`` gives a sound rational upper bound on the depth-d gap for
 every depth at once, via the product of per-coordinate Bhattacharyya
@@ -19,16 +30,18 @@ affinities: the gap can never exceed ``sqrt(1 - affinity**2)``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, islice
-from math import comb, isqrt, log, prod
-from operator import gt, lt, mul, sub
+from itertools import accumulate, compress, islice, repeat
+from math import comb, inf, isqrt, log, prod
+from operator import gt, le, lt, mul, sub
 
 from .dyadic import sqrt_bounds
 from .errors import BudgetExceeded
 
 MIM_MAX_CELLS = 1 << 22  # cells per half, as for 44 differing coordinates
 MIM_MAX_BITS = 1 << 33  # bits of cell numerators per half: enough for any ks pair at depth 44
+GUARD = 2.0**-30  # float comparisons defer to exact ones within GUARD * (1 + bits)
 
 
 def _build_half(classes):
@@ -50,28 +63,47 @@ def _build_half(classes):
 
 def _ratio_sort(nu, mu, reverse=False):
     """The cells ``(nu, mu)`` in exact order of ``nu / mu``, ascending unless
-    ``reverse``, as two lists.
+    ``reverse``, as two lists, and their keys ``log(nu) - log(mu)`` as a
+    third, monotone in the same direction.
 
-    The float ``log(nu) - log(mu)`` only presorts; ``nu / mu`` as a float
-    would overflow at deep levels.  Every adjacent pair is then confirmed by
-    one exact cross-multiplication, and if any pair is out of order an exact
-    insertion pass moves the misplaced cells, so the float never decides the
-    order.
+    The float key only presorts; ``nu / mu`` as a float would overflow at
+    deep levels.  Adjacent keys further apart than the guard band (see the
+    module docstring, ``B`` the largest cell bit length) are in exact order;
+    the adjacent pairs within it are confirmed by one exact cross-multiplication
+    each.  If one is out of order, an exact insertion pass moves the misplaced
+    cells, their keys with them, so the float never decides the order.  A
+    repair can leave the keys out of float order by less than their error; a
+    running maximum (minimum if ``reverse``) makes them monotone again and
+    keeps each within its error of its exact value, since the exact keys are
+    sorted.
     """
+    band = GUARD * (1 + max(max(nu), max(mu)).bit_length())
     key = list(map(sub, map(log, nu), map(log, mu)))
     order = sorted(range(len(nu)), key=key.__getitem__, reverse=reverse)
     nu = list(map(nu.__getitem__, order))
     mu = list(map(mu.__getitem__, order))
+    key = list(map(key.__getitem__, order))
+    del order
+    ahead = islice(key, 1, None)
+    gaps = map(sub, key, ahead) if reverse else map(sub, ahead, key)
+    near = bytes(map(le, gaps, repeat(band)))  # adjacent pairs the keys cannot order
     misplaced = lt if reverse else gt
-    if any(map(misplaced, map(mul, nu, mu[1:]), map(mul, nu[1:], mu))):
+    if any(
+        map(
+            misplaced,
+            map(mul, compress(nu, near), compress(islice(mu, 1, None), near)),
+            map(mul, compress(islice(nu, 1, None), near), compress(mu, near)),
+        )
+    ):
         for k in range(1, len(nu)):
-            n, m = nu[k], mu[k]
+            n, m, x = nu[k], mu[k], key[k]
             j = k
             while j and misplaced(nu[j - 1] * m, n * mu[j - 1]):
-                nu[j], mu[j] = nu[j - 1], mu[j - 1]
+                nu[j], mu[j], key[j] = nu[j - 1], mu[j - 1], key[j - 1]
                 j -= 1
-            nu[j], mu[j] = n, m
-    return nu, mu
+            nu[j], mu[j], key[j] = n, m, x
+        key = list(accumulate(key, min if reverse else max))
+    return nu, mu, key
 
 
 def mim_masses(aprobs, bprobs, d):
@@ -81,11 +113,17 @@ def mim_masses(aprobs, bprobs, d):
     counts = {}  # (a, b) with a != b -> coordinates, in order of first appearance
     total = 1  # cells of both halves together
     for pair in islice(zip(aprobs, bprobs), d):
-        if pair[0] != pair[1]:
+        a, b = pair
+        if a != b:
             c = counts[pair] = counts.get(pair, 0) + 1
             total = total // c * (c + 1)
-            if total > MIM_MAX_CELLS**2:
-                break  # the larger half holds at least sqrt(total) cells
+            # The larger half holds at least sqrt(total) cells, and the half
+            # holding this class at least its c + 1 cells of c * bits bits.
+            if (
+                total > MIM_MAX_CELLS**2
+                or c * (c + 1) * (a.denominator * b.denominator).bit_length() > MIM_MAX_BITS
+            ):
+                break
     classes = list(counts.items())
     # half 1 takes whole classes, in order, while it holds at most sqrt(total) cells
     limit = isqrt(total)
@@ -102,28 +140,35 @@ def mim_masses(aprobs, bprobs, d):
     mu1, nu1, mud1, nud1 = _build_half(halves[0])
     mu2, nu2, mud2, nud2 = _build_half(halves[1])
 
-    nu2, mu2 = _ratio_sort(nu2, mu2)
+    nu2, mu2, key2 = _ratio_sort(nu2, mu2)
     n2 = len(nu2)
+    key2.append(inf)  # stops every walk at n2
     suf_mu = list(accumulate(reversed(mu2), initial=0))[::-1]
     suf_nu = list(accumulate(reversed(nu2), initial=0))[::-1]
 
-    nu1, mu1 = _ratio_sort(nu1, mu1, reverse=True)
+    nu1, mu1, key1 = _ratio_sort(nu1, mu1, reverse=True)
     mu_den = mud1 * mud2
     nu_den = nud1 * nud2
-    # A cell is in A iff nu1*nu2/nu_den > mu1*mu2/mu_den.  Half-1 thresholds
-    # ascend along the sorted half 1, so j, the first half-2 partner in A,
-    # only advances.  Many half-1 cells share one j: they are summed per j,
-    # and each suffix sum is multiplied once.
+    band = GUARD * (1 + max(mu_den, nu_den).bit_length())
+    shift = log(nu_den) - log(mu_den)
+    # A cell is in A iff nu1*nu2/nu_den > mu1*mu2/mu_den, that is iff its
+    # half-2 key exceeds t = shift - (half-1 key).  Half-1 thresholds ascend
+    # along the sorted half 1, so j, the first half-2 partner in A, only
+    # advances: by bisection past the keys below the band around t, then by
+    # exact cross-multiplication through the keys inside it.  Many half-1
+    # cells share one j: they are summed per j, and each suffix sum is
+    # multiplied once.
     mu_at = [0] * (n2 + 1)
     nu_at = [0] * (n2 + 1)
     j = 0
-    for n1, m1 in zip(nu1, mu1):
-        lhs = n1 * mu_den
-        rhs = m1 * nu_den
-        while j < n2 and lhs * nu2[j] <= rhs * mu2[j]:
+    for n1, m1, k1 in zip(nu1, mu1, key1):
+        t = shift - k1
+        j = bisect_left(key2, t - band, j)
+        while key2[j] <= t + band and n1 * mu_den * nu2[j] <= m1 * nu_den * mu2[j]:
             j += 1
         mu_at[j] += m1
         nu_at[j] += n1
+    del key1, key2
     mu_num = sum(map(mul, mu_at, suf_mu))
     nu_num = sum(map(mul, nu_at, suf_nu))
     return Fraction(mu_num, mu_den), Fraction(nu_num, nu_den)

@@ -21,7 +21,7 @@ from cmc import (
     metric_bracket,
     validate_additivity,
 )
-from cmc.bits import all_strings_of_length
+from cmc.bits import PeriodicBits, all_strings_of_length
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
 
@@ -40,6 +40,19 @@ def test_dirac_masses():
     assert d.mass("0100") == 1
     assert d.mass("1") == 0
     assert d.mass("011") == 0
+
+
+def test_dirac_long_cylinders():
+    # a point mass is 1 on the prefixes of its branch and 0 off them
+    branch = PeriodicBits("110", "10")
+    on = "".join(str(branch[k]) for k in range(100_000))
+    d = Dirac(branch)
+    assert d.mass(on[:10]) == 1  # a short prefix first, then a longer one
+    assert d.mass(on) == 1
+    assert d.mass(on[:-1] + str(1 - branch[99_999])) == 0
+    assert d.mass(str(1 - branch[0]) + on[1:]) == 0
+    assert d.mass(on[:50_000] + str(1 - branch[50_000]) + on[50_001:]) == 0
+    assert Dirac(branch).mass(on[:-1] + str(1 - branch[99_999])) == 0  # cold
 
 
 def test_finite_support_masses():

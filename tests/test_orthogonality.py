@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from math import comb
 
 import pytest
@@ -75,8 +75,8 @@ def test_ratio_sort_exact_where_float_keys_tie():
     # the log keys all read 0.0; only the exact check tells the ratios apart
     mu = [10**30] * 3
     nu = [10**30 + 1, 10**30, 10**30 + 2]
-    assert _ratio_sort(nu, mu) == ([10**30, 10**30 + 1, 10**30 + 2], mu)
-    assert _ratio_sort(nu, mu, reverse=True) == ([10**30 + 2, 10**30 + 1, 10**30], mu)
+    assert _ratio_sort(nu, mu)[:2] == ([10**30, 10**30 + 1, 10**30 + 2], mu)
+    assert _ratio_sort(nu, mu, reverse=True)[:2] == ([10**30 + 2, 10**30 + 1, 10**30], mu)
 
 
 def _sweep_matches_brute(sa, sb, depths):
@@ -106,6 +106,59 @@ def test_mim_ks_pattern_against_complement():
     _sweep_matches_brute(
         ks_schedule(PeriodicBits("01", "011")), ks_schedule(PeriodicBits("10", "100")), range(1, 13)
     )
+
+
+def _exact_sweep(pa, pb, d):
+    """Reference for ``mim_masses``: the meet-in-the-middle sweep in
+    ``Fraction`` arithmetic, without floats, one cell per bit string of each
+    half, both halves sorted by exact likelihood ratio."""
+
+    def half(pairs):
+        cells = [(F(1), F(1))]
+        for a, b in pairs:
+            cells = [(m * x, n * y) for m, n in cells for x, y in ((a, b), (1 - a, 1 - b))]
+        return cells
+
+    h1 = sorted(half(zip(pa[: d // 2], pb[: d // 2])), key=lambda c: c[1] / c[0], reverse=True)
+    h2 = sorted(half(zip(pa[d // 2 : d], pb[d // 2 : d])), key=lambda c: c[1] / c[0])
+    suf_mu = list(accumulate((m for m, _ in reversed(h2)), initial=F(0)))[::-1]
+    suf_nu = list(accumulate((n for _, n in reversed(h2)), initial=F(0)))[::-1]
+    mu_a = nu_a = F(0)
+    j = 0
+    for m1, n1 in h1:
+        while j < len(h2) and n1 * h2[j][1] <= m1 * h2[j][0]:
+            j += 1
+        mu_a += m1 * suf_mu[j]
+        nu_a += n1 * suf_nu[j]
+    return mu_a, nu_a
+
+
+@pytest.mark.parametrize("prefix, period", [("01", "011"), ("10", "000"), ("1", "0110"), ("0", "0001")])
+def test_sweep_matches_exact_reference_on_ks_pairs(prefix, period):
+    flip = str.maketrans("01", "10")
+    sa = ks_schedule(PeriodicBits(prefix, period))
+    sb = ks_schedule(PeriodicBits(prefix.translate(flip), period.translate(flip)))
+    pa = [sa.alpha(n) for n in range(20)]
+    pb = [sb.alpha(n) for n in range(20)]
+    for d in range(0, 21):
+        assert mim_masses(pa, pb, d) == _exact_sweep(pa, pb, d), d
+        assert mim_masses(pb, pa, d) == _exact_sweep(pb, pa, d), d
+
+
+def test_sweep_near_ties_inside_the_guard_band():
+    # distinct cells' log ratios differ by about 1e-15 per coordinate, far
+    # inside the guard band and below a float's resolution at these sizes:
+    # every order and every membership in A is settled exactly
+    a = F(10**15, 2 * 10**15 + 1)
+    sa, sb = ConstantSchedule(a), ConstantSchedule(F(1, 2))
+    _sweep_matches_brute(sa, sb, range(0, 13))
+    sc = ExplicitSchedule([a, 1 - a, F(10**15 + 2, 2 * 10**15 + 1)], "cycle")
+    _sweep_matches_brute(sc, sb, range(0, 13))
+    pc = [sc.alpha(n) for n in range(20)]
+    pb = [sb.alpha(n) for n in range(20)]
+    for d in (16, 20):
+        assert mim_masses(pc, pb, d) == _exact_sweep(pc, pb, d)
+        assert mim_masses(pb, pc, d) == _exact_sweep(pb, pc, d)
 
 
 def test_mim_many_exact_ties():
@@ -158,6 +211,13 @@ def test_sweep_limits():
     # one class of c coordinates: c + 1 cells of 6c bits each
     with pytest.raises(BudgetExceeded):
         mim_masses(repeat(F(1, 7)), repeat(F(3, 7)), 37837)
+    # that class alone refuses the depth, so the read stops once it is full
+    # (the counting iterator ends after 10**5 coordinates, reading them all
+    # refuses too)
+    read = []
+    with pytest.raises(BudgetExceeded, match="^depth 1000000000 needs more than"):
+        mim_masses((read.append(n) or F(1, 7) for n in range(10**5)), repeat(F(3, 7)), 10**9)
+    assert len(read) < 10**5
 
 
 def test_tv_upper_bound_is_sound():
