@@ -63,7 +63,6 @@ from .measures import (
     Uniform,
     Violation,
     enumerate_dense,
-    enumerate_strings,
     eval_cylinder,
     measure_of_family,
     metric_bracket,

@@ -40,8 +40,11 @@ def _default_budget():
 
 def _source(arg):
     if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(arg[1:], "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as err:
+            raise ValueError(f"cannot read {arg[1:]!r}: {err.strerror}") from None
     return arg
 
 

@@ -284,11 +284,6 @@ def measure_of_family(code, family):
     return sum((code.mass(s) for s in family.canonical()), ZERO)
 
 
-def enumerate_strings(n):
-    """Shortlex enumeration of all finite binary strings."""
-    return shortlex_string(n)
-
-
 def metric_bracket(f, g, N):
     """Enclosure of the code metric ``d(f,g) = sum 2**-(n+1) |f(s_n)-g(s_n)|``.
 

@@ -7,8 +7,9 @@ do not change any cell's likelihood ratio, so they sum out; the rest group by
 their probability pair, and a class of ``c`` coordinates enters only through
 its zero count, as ``c + 1`` cells with binomial weights.  The classes are
 split into two halves, each half's cells are enumerated as integer numerators
-over one common denominator, both halves are sorted by likelihood ratio, and
-one half is swept against the other with suffix sums (meet in the middle).
+over one common denominator, the smaller half is sorted by likelihood ratio,
+and each cell of the other half is matched by bisection against its suffix
+sums (meet in the middle).
 
 Every ordering test compares float logarithms first and decides in exact
 integer arithmetic only inside a proven guard band.  For an int ``n >= 1``,
@@ -21,7 +22,8 @@ off from their exact difference by less than ``2**-47 * (1 + B)``, ``B`` the
 largest bit length involved.  The band is ``GUARD * (1 + B)``, ``2**17`` times
 that bound: floats further apart than the band are in exact order, and
 closer ones, exact ties among them, are settled by cross-multiplication.  So
-a float never decides which cells are in ``A``.
+a float never decides which cells are in ``A``.  No cell numerator exceeds
+its denominator, so one sweep takes ``B`` from the larger denominator.
 
 ``tv_upper_bound`` gives a sound rational upper bound on the depth-d gap for
 every depth at once, via the product of per-coordinate Bhattacharyya
@@ -34,7 +36,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
 from math import comb, inf, isqrt, log, prod
-from operator import gt, le, lt, mul, sub
+from operator import gt, le, mul, sub
 
 from .dyadic import sqrt_bounds
 from .errors import BudgetExceeded
@@ -61,36 +63,31 @@ def _build_half(classes):
     return mu, nu, mu_den, nu_den
 
 
-def _ratio_sort(nu, mu, reverse=False):
-    """The cells ``(nu, mu)`` in exact order of ``nu / mu``, ascending unless
-    ``reverse``, as two lists, and their keys ``log(nu) - log(mu)`` as a
-    third, monotone in the same direction.
+def _ratio_sort(nu, mu, band):
+    """The cells ``(nu, mu)`` in ascending exact order of ``nu / mu``, as two
+    lists, and their keys ``log(nu) - log(mu)``, ascending too, as a third.
 
     The float key only presorts; ``nu / mu`` as a float would overflow at
-    deep levels.  Adjacent keys further apart than the guard band (see the
-    module docstring, ``B`` the largest cell bit length) are in exact order;
-    the adjacent pairs within it are confirmed by one exact cross-multiplication
-    each.  If one is out of order, an exact insertion pass moves the misplaced
-    cells, their keys with them, so the float never decides the order.  A
-    repair can leave the keys out of float order by less than their error; a
-    running maximum (minimum if ``reverse``) makes them monotone again and
-    keeps each within its error of its exact value, since the exact keys are
-    sorted.
+    deep levels.  Adjacent keys further apart than the guard band ``band``
+    (module docstring) are in exact order; the adjacent pairs within it are
+    confirmed by one exact cross-multiplication each.  If one is out of
+    order, an exact insertion pass moves the misplaced cells, their keys with
+    them, so the float never decides the order.  A repair can leave the keys
+    out of float order by less than their error; a running maximum makes them
+    ascend again and keeps each within its error of its exact value, since
+    the exact keys are sorted.
     """
-    band = GUARD * (1 + max(max(nu), max(mu)).bit_length())
     key = list(map(sub, map(log, nu), map(log, mu)))
-    order = sorted(range(len(nu)), key=key.__getitem__, reverse=reverse)
+    order = sorted(range(len(nu)), key=key.__getitem__)
     nu = list(map(nu.__getitem__, order))
     mu = list(map(mu.__getitem__, order))
     key = list(map(key.__getitem__, order))
     del order
     ahead = islice(key, 1, None)
-    gaps = map(sub, key, ahead) if reverse else map(sub, ahead, key)
-    near = bytes(map(le, gaps, repeat(band)))  # adjacent pairs the keys cannot order
-    misplaced = lt if reverse else gt
+    near = bytes(map(le, map(sub, ahead, key), repeat(band)))  # pairs the keys cannot order
     if any(
         map(
-            misplaced,
+            gt,
             map(mul, compress(nu, near), compress(islice(mu, 1, None), near)),
             map(mul, compress(islice(nu, 1, None), near), compress(mu, near)),
         )
@@ -98,11 +95,11 @@ def _ratio_sort(nu, mu, reverse=False):
         for k in range(1, len(nu)):
             n, m, x = nu[k], mu[k], key[k]
             j = k
-            while j and misplaced(nu[j - 1] * m, n * mu[j - 1]):
+            while j and nu[j - 1] * m > n * mu[j - 1]:
                 nu[j], mu[j], key[j] = nu[j - 1], mu[j - 1], key[j - 1]
                 j -= 1
             nu[j], mu[j], key[j] = n, m, x
-        key = list(accumulate(key, min if reverse else max))
+        key = list(accumulate(key, max))
     return nu, mu, key
 
 
@@ -125,7 +122,7 @@ def mim_masses(aprobs, bprobs, d):
             ):
                 break
     classes = list(counts.items())
-    # half 1 takes whole classes, in order, while it holds at most sqrt(total) cells
+    # half 1, whole classes in order up to sqrt(total) cells, is never the larger
     limit = isqrt(total)
     half = sum(s <= limit for s in accumulate((c + 1 for _, c in classes), mul))
     halves = classes[:half], classes[half:]
@@ -139,44 +136,38 @@ def mim_masses(aprobs, bprobs, d):
             )
     mu1, nu1, mud1, nud1 = _build_half(halves[0])
     mu2, nu2, mud2, nud2 = _build_half(halves[1])
-
-    nu2, mu2, key2 = _ratio_sort(nu2, mu2)
-    n2 = len(nu2)
-    key2.append(inf)  # stops every walk at n2
-    suf_mu = list(accumulate(reversed(mu2), initial=0))[::-1]
-    suf_nu = list(accumulate(reversed(nu2), initial=0))[::-1]
-
-    nu1, mu1, key1 = _ratio_sort(nu1, mu1, reverse=True)
     mu_den = mud1 * mud2
     nu_den = nud1 * nud2
     band = GUARD * (1 + max(mu_den, nu_den).bit_length())
     shift = log(nu_den) - log(mu_den)
+    nu1, mu1, key1 = _ratio_sort(nu1, mu1, band)
+    key1.append(inf)  # stops every walk at n1
+    suf_mu = list(accumulate(reversed(mu1), initial=0))[::-1]
+    suf_nu = list(accumulate(reversed(nu1), initial=0))[::-1]
     # A cell is in A iff nu1*nu2/nu_den > mu1*mu2/mu_den, that is iff its
-    # half-2 key exceeds t = shift - (half-1 key).  Half-1 thresholds ascend
-    # along the sorted half 1, so j, the first half-2 partner in A, only
-    # advances: by bisection past the keys below the band around t, then by
-    # exact cross-multiplication through the keys inside it.  Many half-1
-    # cells share one j: they are summed per j, and each suffix sum is
-    # multiplied once.
-    mu_at = [0] * (n2 + 1)
-    nu_at = [0] * (n2 + 1)
-    j = 0
-    for n1, m1, k1 in zip(nu1, mu1, key1):
-        t = shift - k1
-        j = bisect_left(key2, t - band, j)
-        while key2[j] <= t + band and n1 * mu_den * nu2[j] <= m1 * nu_den * mu2[j]:
+    # half-1 key exceeds t = shift - (half-2 key).  So the half-1 partners in
+    # A of a half-2 cell are the sorted half 1 from j on: bisection skips the
+    # keys below the band around t, and exact cross-multiplication steps
+    # through the keys inside it.  Many half-2 cells share one j: they are
+    # summed per j, and each suffix sum is multiplied once.
+    mu_at, nu_at = [0] * len(key1), [0] * len(key1)
+    for n2, m2 in zip(nu2, mu2):
+        t = shift - (log(n2) - log(m2))
+        j = bisect_left(key1, t - band)
+        while key1[j] <= t + band and nu1[j] * mu_den * n2 <= mu1[j] * nu_den * m2:
             j += 1
-        mu_at[j] += m1
-        nu_at[j] += n1
-    del key1, key2
+        mu_at[j] += m2
+        nu_at[j] += n2
+    del key1
     mu_num = sum(map(mul, mu_at, suf_mu))
     nu_num = sum(map(mul, nu_at, suf_nu))
     return Fraction(mu_num, mu_den), Fraction(nu_num, nu_den)
 
 
-def tv_upper_bound(aprobs, bprobs, d, bits=48):
+def tv_upper_bound(aprobs, bprobs, d):
     """Rational bound: for every depth d' <= d, the depth-d' gap is at most
     the returned value."""
+    bits = 48  # precision of each square-root bound
     bc_lo = Fraction(1)
     for a, b in islice(zip(aprobs, bprobs), d):
         l1, _ = sqrt_bounds(a * b, bits)

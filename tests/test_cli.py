@@ -151,6 +151,16 @@ def test_at_file_input(tmp_path, capsys):
     assert (code, out) == (0, "3/4\n")
 
 
+@pytest.mark.parametrize("name", ["missing.dsl", ""], ids=["missing-file", "directory"])
+def test_unreadable_at_file_is_invalid_argument(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    code, out = run(capsys, "eval", f"@{path}", "0")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "error: invalid-argument"
+    assert lines[1].startswith("message: cannot read ") and path in lines[1]
+
+
 def test_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("CMC_DEFAULT_BUDGET", "4")
     code, out = run(capsys, "decode", "dirac(0)", "1")

@@ -15,13 +15,12 @@ from cmc import (
     Uniform,
     Violation,
     enumerate_dense,
-    enumerate_strings,
     eval_cylinder,
     measure_of_family,
     metric_bracket,
     validate_additivity,
 )
-from cmc.bits import PeriodicBits, all_strings_of_length
+from cmc.bits import PeriodicBits, all_strings_of_length, shortlex_string
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
 
@@ -121,8 +120,8 @@ def test_validate_normalization():
     assert validate_additivity(bad, 2) == Violation("", F(1, 2), F(1))
 
 
-def test_enumerate_strings_shortlex():
-    assert [enumerate_strings(n) for n in range(7)] == [
+def test_shortlex_string():
+    assert [shortlex_string(n) for n in range(7)] == [
         "",
         "0",
         "1",
@@ -207,7 +206,7 @@ def _random_code(rng):
 @settings(max_examples=60, deadline=None)
 def test_additivity_property(seed, strindex):
     code = _random_code(random.Random(seed))
-    s = enumerate_strings(strindex)
+    s = shortlex_string(strindex)
     assert code.mass(s) == code.mass(s + "0") + code.mass(s + "1")
     assert 0 <= code.mass(s) <= 1
 
@@ -217,7 +216,7 @@ def test_additivity_property(seed, strindex):
 def test_family_mass_shuffle_property(seed):
     rng = random.Random(seed)
     code = _random_code(rng)
-    strings = [enumerate_strings(rng.randrange(1, 31)) for _ in range(6)]
+    strings = [shortlex_string(rng.randrange(1, 31)) for _ in range(6)]
     base = measure_of_family(code, strings)
     rng.shuffle(strings)
     assert measure_of_family(code, strings + strings[:2]) == base

@@ -30,7 +30,7 @@ from cmc import (
 )
 from cmc.bits import PeriodicBits, all_strings_of_length
 from cmc.errors import BudgetExceeded
-from cmc.productgap import _ratio_sort, mim_masses, tv_upper_bound
+from cmc.productgap import GUARD, _ratio_sort, mim_masses, tv_upper_bound
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
 
@@ -75,8 +75,8 @@ def test_ratio_sort_exact_where_float_keys_tie():
     # the log keys all read 0.0; only the exact check tells the ratios apart
     mu = [10**30] * 3
     nu = [10**30 + 1, 10**30, 10**30 + 2]
-    assert _ratio_sort(nu, mu)[:2] == ([10**30, 10**30 + 1, 10**30 + 2], mu)
-    assert _ratio_sort(nu, mu, reverse=True)[:2] == ([10**30 + 2, 10**30 + 1, 10**30], mu)
+    band = GUARD * (1 + (10**30 + 2).bit_length())
+    assert _ratio_sort(nu, mu, band)[:2] == ([10**30, 10**30 + 1, 10**30 + 2], mu)
 
 
 def _sweep_matches_brute(sa, sb, depths):
