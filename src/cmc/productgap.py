@@ -32,10 +32,10 @@ affinities: the gap can never exceed ``sqrt(1 - affinity**2)``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
-from math import comb, inf, isqrt, log, prod
+from math import comb, isqrt, log, prod
 from operator import gt, le, mul, sub
 
 from .dyadic import sqrt_bounds
@@ -141,24 +141,24 @@ def mim_masses(aprobs, bprobs, d):
     band = GUARD * (1 + max(mu_den, nu_den).bit_length())
     shift = log(nu_den) - log(mu_den)
     nu1, mu1, key1 = _ratio_sort(nu1, mu1, band)
-    key1.append(inf)  # stops every walk at n1
     suf_mu = list(accumulate(reversed(mu1), initial=0))[::-1]
     suf_nu = list(accumulate(reversed(nu1), initial=0))[::-1]
     # A cell is in A iff nu1*nu2/nu_den > mu1*mu2/mu_den, that is iff its
     # half-1 key exceeds t = shift - (half-2 key).  So the half-1 partners in
-    # A of a half-2 cell are the sorted half 1 from j on: bisection skips the
-    # keys below the band around t, and exact cross-multiplication steps
-    # through the keys inside it.  Many half-2 cells share one j: they are
-    # summed per j, and each suffix sum is multiplied once.
-    mu_at, nu_at = [0] * len(key1), [0] * len(key1)
+    # A of a half-2 cell are the sorted half 1 from j on: float bisection
+    # finds j unless a key lies within the band around t, and then exact
+    # bisection finds it among those keys.  Many half-2 cells share one j:
+    # they are summed per j, and each suffix sum is multiplied once.
+    mu_at, nu_at = [0] * len(suf_mu), [0] * len(suf_nu)
     for n2, m2 in zip(nu2, mu2):
         t = shift - (log(n2) - log(m2))
         j = bisect_left(key1, t - band)
-        while key1[j] <= t + band and nu1[j] * mu_den * n2 <= mu1[j] * nu_den * m2:
-            j += 1
+        if j < len(key1) and key1[j] <= t + band:
+            hi = bisect_right(key1, t + band, j)
+            x, y = mu_den * n2, nu_den * m2
+            j = bisect_left(range(hi), True, j, key=lambda m: nu1[m] * x > mu1[m] * y)
         mu_at[j] += m2
         nu_at[j] += n2
-    del key1
     mu_num = sum(map(mul, mu_at, suf_mu))
     nu_num = sum(map(mul, nu_at, suf_nu))
     return Fraction(mu_num, mu_den), Fraction(nu_num, nu_den)

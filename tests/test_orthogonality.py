@@ -30,6 +30,7 @@ from cmc import (
 )
 from cmc.bits import PeriodicBits, all_strings_of_length
 from cmc.errors import BudgetExceeded
+from cmc import productgap
 from cmc.productgap import GUARD, _ratio_sort, mim_masses, tv_upper_bound
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
@@ -161,11 +162,51 @@ def test_sweep_near_ties_inside_the_guard_band():
         assert mim_masses(pb, pc, d) == _exact_sweep(pb, pc, d)
 
 
+def test_sweep_bisects_near_ties_inside_the_band(monkeypatch):
+    # every half-1 key lies within the band around every half-2 threshold: a
+    # walk that steps cell by cell would take about n1 / 2 exact comparisons
+    # per half-2 cell, the exact bisection at most n1.bit_length()
+    a = F(10**15, 2 * 10**15 + 1)
+    pc = [a, 1 - a, F(10**15 + 2, 2 * 10**15 + 1)] * 20
+    pb = [F(1, 2)] * 60
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(1)
+            return int(self) * other
+
+    sort = productgap._ratio_sort
+    half1 = []
+
+    def counted_sort(nu, mu, band):
+        half1.append(len(nu))
+        nu, mu, key = sort(nu, mu, band)
+        return list(map(Counted, nu)), list(map(Counted, mu)), key
+
+    want = mim_masses(pc, pb, 60)
+    monkeypatch.setattr(productgap, "_ratio_sort", counted_sort)
+    assert mim_masses(pc, pb, 60) == want
+    n1 = half1[0]
+    n2 = 21**3 // n1  # three classes of 20 coordinates
+    assert (n1, n2) == (21, 441)
+    assert len(products) <= 2 * n2 * n1.bit_length()
+
+
 def test_mim_many_exact_ties():
     # every half-cell ratio is a power of 2 or 1: large groups of exact ties
     _sweep_matches_brute(
         ExplicitSchedule([F(1, 3), F(2, 3)], "cycle"), ConstantSchedule(F(1, 2)), range(1, 13)
     )
+    # four classes: half 1 holds two, whose cells form runs of exact ties
+    sa = ExplicitSchedule([F(1, 3), F(2, 3), F(1, 5), F(4, 5)], "cycle")
+    sb = ExplicitSchedule([F(2, 3), F(1, 3), F(4, 5), F(1, 5)], "cycle")
+    _sweep_matches_brute(sa, sb, range(0, 13))
+    pa = [sa.alpha(n) for n in range(24)]
+    pb = [sb.alpha(n) for n in range(24)]
+    for d in (16, 20, 24):
+        assert mim_masses(pa, pb, d) == _exact_sweep(pa, pb, d)
+        assert mim_masses(pb, pa, d) == _exact_sweep(pb, pa, d)
 
 
 def test_sweep_sums_out_equal_coordinates():
