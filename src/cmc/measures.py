@@ -215,6 +215,18 @@ class TableCode(MeasureCode):
 # Operations
 
 
+class ExactSum(dict):
+    """An exact sum of rationals ``n / d``, ``d > 0``, kept as the total
+    numerator per denominator: a term pays no gcd, and ``value`` builds one
+    ``Fraction`` per distinct denominator."""
+
+    def add(self, n, d):
+        self[d] = self.get(d, 0) + n
+
+    def value(self):
+        return sum((Fraction(n, d) for d, n in self.items()), ZERO)
+
+
 def eval_cylinder(code, s):
     """``mu(N_s)`` as an exact rational."""
     return code.mass(s)
@@ -281,7 +293,10 @@ def measure_of_family(code, family):
     """Exact mass of a finite union of cylinders."""
     if not isinstance(family, CylinderFamily):
         family = CylinderFamily(family)
-    return sum((code.mass(s) for s in family.canonical()), ZERO)
+    total = ExactSum()
+    for s in family.canonical():
+        total.add(*code.mass(s).as_integer_ratio())
+    return total.value()
 
 
 def metric_bracket(f, g, N):
@@ -289,13 +304,17 @@ def metric_bracket(f, g, N):
 
     Returns ``(lo, hi)`` with ``lo`` the exact partial sum over the first ``N``
     strings and ``hi = lo + 2**-N`` (the tail is at most the remaining
-    geometric mass).
+    geometric mass).  An ``ExactSum`` adds the terms over ``2**N`` times the
+    product of the two masses' denominators: the weight ``2**-(n+1)`` is a
+    left shift of the numerator.
     """
     check_natural(N, "N")
-    lo = ZERO
+    total = ExactSum()
     for n in range(N):
         s = shortlex_string(n)
-        lo += Fraction(1, 1 << (n + 1)) * abs(f.mass(s) - g.mass(s))
+        (an, ad), (bn, bd) = f.mass(s).as_integer_ratio(), g.mass(s).as_integer_ratio()
+        total.add(abs(an * bd - bn * ad) << (N - 1 - n), ad * bd)
+    lo = total.value() / (1 << N)
     return lo, lo + Fraction(1, 1 << N)
 
 

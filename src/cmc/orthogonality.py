@@ -16,7 +16,7 @@ from itertools import islice
 from .bits import check_natural
 from .errors import BudgetExceeded
 from .kakutani import Inconclusive, perfect_family
-from .measures import CylinderFamily, ZERO, product_code
+from .measures import CylinderFamily, ExactSum, ZERO, product_code
 from .productgap import mim_masses, tv_upper_bound
 from .schedules import ks_schedule
 
@@ -47,20 +47,21 @@ def _level_cells(code, d, whole=None):
 
 
 def _masses_above(mu, nu, d):
-    """Exact (mu(A), nu(A)) for the level-d cell set A = {nu > mu}."""
+    """Exact (mu(A), nu(A)) for the level-d cell set A = {nu > mu}; without
+    product structure, one level walk adds them up in an ``ExactSum`` each."""
     pa, pb = _probs(mu, d), _probs(nu, d)
     if pa is not None and pb is not None:
         return mim_masses(pa, pb, d)
     if d > _GENERIC_DEPTH:
         raise BudgetExceeded(f"depth {d} needs product structure on both codes")
     # below a cell of zero mu-mass all the nu-mass lies in A
-    mu_a = nu_a = ZERO
+    mu_a, nu_a = ExactSum(), ExactSum()
     for s in _level_cells(nu, d, lambda s: mu.mass(s) == 0):
         m, v = mu.mass(s), nu.mass(s)
         if v > m:
-            mu_a += m
-            nu_a += v
-    return mu_a, nu_a
+            mu_a.add(*m.as_integer_ratio())
+            nu_a.add(*v.as_integer_ratio())
+    return mu_a.value(), nu_a.value()
 
 
 def gap(mu, nu, d):

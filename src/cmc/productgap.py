@@ -7,9 +7,9 @@ do not change any cell's likelihood ratio, so they sum out; the rest group by
 their probability pair, and a class of ``c`` coordinates enters only through
 its zero count, as ``c + 1`` cells with binomial weights.  The classes are
 split into two halves, each half's cells are enumerated as integer numerators
-over one common denominator, the smaller half is sorted by likelihood ratio,
-and each cell of the other half is matched by bisection against its suffix
-sums (meet in the middle).
+over one common denominator, the smaller half is sorted by likelihood ratio
+with each run of exact ties merged into one cell, and each cell of the other
+half is matched by bisection against its suffix sums (meet in the middle).
 
 Every ordering test compares float logarithms first and decides in exact
 integer arithmetic only inside a proven guard band.  For an int ``n >= 1``,
@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
 from math import comb, isqrt, log, prod
-from operator import gt, le, mul, sub
+from operator import le, mul, sub
 
 from .dyadic import sqrt_bounds
 from .errors import BudgetExceeded
@@ -65,7 +65,8 @@ def _build_half(classes):
 
 def _ratio_sort(nu, mu, band):
     """The cells ``(nu, mu)`` in ascending exact order of ``nu / mu``, as two
-    lists, and their keys ``log(nu) - log(mu)``, ascending too, as a third.
+    lists, and their keys ``log(nu) - log(mu)``, ascending too, as a third;
+    each run of exactly tied cells is merged into one, which holds their sums.
 
     The float key only presorts; ``nu / mu`` as a float would overflow at
     deep levels.  Adjacent keys further apart than the guard band ``band``
@@ -75,7 +76,9 @@ def _ratio_sort(nu, mu, band):
     them, so the float never decides the order.  A repair can leave the keys
     out of float order by less than their error; a running maximum makes them
     ascend again and keeps each within its error of its exact value, since
-    the exact keys are sorted.
+    the exact keys are sorted.  The pairs are then checked again, and the
+    same cross-multiplications find the exact ties: tied cells have one
+    ratio, so they are in ``A`` together or not at all.
     """
     key = list(map(sub, map(log, nu), map(log, mu)))
     order = sorted(range(len(nu)), key=key.__getitem__)
@@ -83,15 +86,14 @@ def _ratio_sort(nu, mu, band):
     mu = list(map(mu.__getitem__, order))
     key = list(map(key.__getitem__, order))
     del order
-    ahead = islice(key, 1, None)
-    near = bytes(map(le, map(sub, ahead, key), repeat(band)))  # pairs the keys cannot order
-    if any(
-        map(
-            gt,
-            map(mul, compress(nu, near), compress(islice(mu, 1, None), near)),
-            map(mul, compress(islice(nu, 1, None), near), compress(mu, near)),
-        )
-    ):
+    while True:
+        ahead = islice(key, 1, None)
+        near = bytes(map(le, map(sub, ahead, key), repeat(band)))  # pairs the keys cannot order
+        lhs = map(mul, compress(nu, near), compress(islice(mu, 1, None), near))
+        rhs = map(mul, compress(islice(nu, 1, None), near), compress(mu, near))
+        step = list(map(sub, lhs, rhs))  # > 0 where a pair is out of order, 0 where it ties
+        if not any(map((0).__lt__, step)):
+            break
         for k in range(1, len(nu)):
             n, m, x = nu[k], mu[k], key[k]
             j = k
@@ -100,6 +102,13 @@ def _ratio_sort(nu, mu, band):
                 j -= 1
             nu[j], mu[j], key[j] = n, m, x
         key = list(accumulate(key, max))
+    if 0 in step:
+        keep = bytearray([1]) * len(nu)
+        for k in compress(compress(range(1, len(nu)), near), map((0).__eq__, step)):
+            nu[k] += nu[k - 1]
+            mu[k] += mu[k - 1]
+            keep[k - 1] = 0
+        nu, mu, key = (list(compress(x, keep)) for x in (nu, mu, key))
     return nu, mu, key
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmc import (
     Convex,
@@ -18,9 +18,11 @@ from cmc import (
     eval_cylinder,
     measure_of_family,
     metric_bracket,
+    parse,
     validate_additivity,
 )
 from cmc.bits import PeriodicBits, all_strings_of_length, shortlex_string
+from cmc.measures import ExactSum
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
 
@@ -165,6 +167,49 @@ def test_metric_bracket_first_terms():
 def test_metric_of_identical_codes():
     lo, hi = metric_bracket(Uniform(), Uniform(), 10)
     assert lo == 0 and hi == F(1, 1024)
+
+
+# reduced terms of mixed denominators, and unreduced ones over a few shared ones
+_ratio_pairs = st.one_of(
+    st.fractions(max_denominator=10**9).map(F.as_integer_ratio),
+    st.tuples(st.integers(-(10**30), 10**30), st.sampled_from([1, 2, 6, 2**40, 3**30])),
+)
+
+
+@given(st.lists(_ratio_pairs, max_size=30))
+@example([])
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_equals_fraction_sum(pairs):
+    pairs += pairs[: len(pairs) // 2]  # repeated terms
+    total = ExactSum()
+    for n, d in pairs:
+        total.add(n, d)
+    assert type(total.value()) is F
+    assert total.value() == sum((F(n, d) for n, d in pairs), F(0))
+
+
+def _per_term_bracket(f, g, N):
+    lo = F(0)
+    for n in range(N):
+        s = shortlex_string(n)
+        lo += F(1, 1 << (n + 1)) * abs(f.mass(s) - g.mass(s))
+    return lo, lo + F(1, 1 << N)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2047])
+def test_metric_bracket_matches_per_term_sum(N):
+    table = "table(2; 0=1/3, 00=1/4, 10=1/2)"
+    texts = [
+        (table, "table(3; 0=3/5, 01=1/5, 101=1/7)"),
+        ("convex(1/3: uniform, 2/3: dirac(01))", "finite(000: 1/2, 001: 1/4, 1: 1/4)"),
+        (table, f"coded({table}; 101)"),
+    ]
+    for x, y in texts:
+        f, g = parse(x), parse(y)
+        assert metric_bracket(f, g, N) == _per_term_bracket(f, g, N)
+        assert metric_bracket(g, f, N) == metric_bracket(f, g, N)
+        for code in (f, g):
+            assert metric_bracket(code, code, N) == (0, F(1, 1 << N))
 
 
 def test_enumerate_dense_first_members():

@@ -153,13 +153,17 @@ def test_sweep_near_ties_inside_the_guard_band():
     a = F(10**15, 2 * 10**15 + 1)
     sa, sb = ConstantSchedule(a), ConstantSchedule(F(1, 2))
     _sweep_matches_brute(sa, sb, range(0, 13))
-    sc = ExplicitSchedule([a, 1 - a, F(10**15 + 2, 2 * 10**15 + 1)], "cycle")
-    _sweep_matches_brute(sc, sb, range(0, 13))
-    pc = [sc.alpha(n) for n in range(20)]
-    pb = [sb.alpha(n) for n in range(20)]
-    for d in (16, 20):
-        assert mim_masses(pc, pb, d) == _exact_sweep(pc, pb, d)
-        assert mim_masses(pb, pc, d) == _exact_sweep(pb, pc, d)
+    c = F(10**15 + 2, 2 * 10**15 + 1)
+    # with four classes the sorted half holds runs of exact ties (its cells'
+    # ratios depend on k1 - k2 only) next to near ties
+    for cycle in [a, 1 - a, c], [a, 1 - a, c, 1 - c]:
+        sc = ExplicitSchedule(cycle, "cycle")
+        _sweep_matches_brute(sc, sb, range(0, 13))
+        pc = [sc.alpha(n) for n in range(20)]
+        pb = [sb.alpha(n) for n in range(20)]
+        for d in (16, 20):
+            assert mim_masses(pc, pb, d) == _exact_sweep(pc, pb, d)
+            assert mim_masses(pb, pc, d) == _exact_sweep(pb, pc, d)
 
 
 def test_sweep_bisects_near_ties_inside_the_band(monkeypatch):
@@ -207,6 +211,56 @@ def test_mim_many_exact_ties():
     for d in (16, 20, 24):
         assert mim_masses(pa, pb, d) == _exact_sweep(pa, pb, d)
         assert mim_masses(pb, pa, d) == _exact_sweep(pb, pa, d)
+
+
+def _tie_pair_masses(c, sign):
+    """Reference for the tie pair of ``test_sweep_merges_exact_tie_runs``
+    with ``c`` coordinates per class: ``(mu(A), nu(A))`` by zero counts.  A
+    cell's log2 likelihood ratio is ``2 (k1 - k2) + 4 (k3 - k4)``, so ``A`` is
+    where ``sign * ((k1 - k2) + 2 (k3 - k4)) > 0``."""
+
+    def law(p, q):
+        # numerators over (p.den * q.den)**c of k - k' for zero counts k ~ p, k' ~ q
+        out = {}
+        for k in range(c + 1):
+            w = comb(c, k) * p.numerator**k * (p.denominator - p.numerator) ** (c - k)
+            for k2 in range(c + 1):
+                w2 = comb(c, k2) * q.numerator**k2 * (q.denominator - q.numerator) ** (c - k2)
+                out[k - k2] = out.get(k - k2, 0) + w * w2
+        return out
+
+    def mass(a1, a2, a3, a4):
+        x, y = law(a1, a2), law(a3, a4)
+        num = sum(wx * wy for i, wx in x.items() for j, wy in y.items() if sign * (i + 2 * j) > 0)
+        return F(num, (a1.denominator * a2.denominator * a3.denominator * a4.denominator) ** c)
+
+    return mass(F(1, 3), F(2, 3), F(1, 5), F(4, 5)), mass(F(2, 3), F(1, 3), F(4, 5), F(1, 5))
+
+
+def test_sweep_merges_exact_tie_runs(monkeypatch):
+    # the sorted half holds the classes (1/3, 2/3) and (2/3, 1/3), whose cells
+    # have ratio 4**(k1 - k2): each run of exact ties becomes one cell
+    sa = ExplicitSchedule([F(1, 3), F(2, 3), F(1, 5), F(4, 5)], "cycle")
+    sb = ExplicitSchedule([F(2, 3), F(1, 3), F(4, 5), F(1, 5)], "cycle")
+    sort = productgap._ratio_sort
+    sizes = []
+
+    def recorded_sort(nu, mu, band):
+        out = sort(nu, mu, band)
+        sizes.append((len(nu), len(out[0])))
+        return out
+
+    monkeypatch.setattr(productgap, "_ratio_sort", recorded_sort)
+    a, b = ProductCode(sa), ProductCode(sb)
+    above = [s for s in all_strings_of_length(12) if b.mass(s) > a.mass(s)]
+    pa = [sa.alpha(n) for n in range(400)]
+    pb = [sb.alpha(n) for n in range(400)]
+    assert mim_masses(pa, pb, 12) == (sum(map(a.mass, above)), sum(map(b.mass, above)))
+    assert sizes == [(16, 7)]
+    del sizes[:]
+    assert mim_masses(pa, pb, 400) == _tie_pair_masses(100, 1)
+    assert mim_masses(pb, pa, 400) == _tie_pair_masses(100, -1)[::-1]
+    assert sizes == [(101**2, 201)] * 2
 
 
 def test_sweep_sums_out_equal_coordinates():
