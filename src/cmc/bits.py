@@ -45,12 +45,6 @@ def shortlex_string(n):
     return format(rank, "b").zfill(length) if length else ""
 
 
-def shortlex_index(s):
-    """Inverse of :func:`shortlex_string`."""
-    check_bitstring(s)
-    return (1 << len(s)) - 1 + (int(s, 2) if s else 0)
-
-
 def shortlex_key(s):
     return (len(s), s)
 

@@ -48,22 +48,9 @@ def _source(arg):
     return arg
 
 
-def _measure(arg):
-    result = dsl.parse(_source(arg))
-    if isinstance(result, Diagnostic):
-        raise result
-    return result
-
-
-def _schedule(arg):
-    result = dsl.parse_schedule(_source(arg))
-    if isinstance(result, Diagnostic):
-        raise result
-    return result
-
-
-def _pattern(arg):
-    result = dsl.parse_pattern(_source(arg))
+def _parse(text, parse=dsl.parse):
+    """``parse(text)``; a Diagnostic is raised, not returned."""
+    result = parse(text)
     if isinstance(result, Diagnostic):
         raise result
     return result
@@ -112,38 +99,32 @@ def _cert_items(cert):
 
 
 def _cmd_eval(args):
-    print(measures.eval_cylinder(_measure(args.measure), check_bitstring(args.bits)))
+    code = _parse(_source(args.measure))
+    print(measures.eval_cylinder(code, check_bitstring(args.bits)))
     return 0
 
 
 def _cmd_encode(args):
-    coded = codec.encode(
-        _measure(args.measure), _dsl_payload(args.payload), args.budget
-    )
+    base = _parse(_source(args.measure))
+    coded = codec.encode(base, _parse(args.payload, dsl.parse_payload), args.budget)
     print(dsl.print_measure(coded))
     return 0
 
 
-def _dsl_payload(text):
-    result = dsl.parse_payload(text)
-    if isinstance(result, Diagnostic):
-        raise result
-    return result
-
-
 def _cmd_decode(args):
-    print(codec.decode(_measure(args.measure), args.k, args.budget))
+    print(codec.decode(_parse(_source(args.measure)), args.k, args.budget))
     return 0
 
 
 def _cmd_gap(args):
-    print(orthogonality.gap(_measure(args.mu), _measure(args.nu), args.depth))
+    mu, nu = _parse(_source(args.mu)), _parse(_source(args.nu))
+    print(orthogonality.gap(mu, nu, args.depth))
     return 0
 
 
 def _cmd_certify(args):
     result = orthogonality.ortho_certificate(
-        _measure(args.mu), _measure(args.nu), args.epsilon, args.max_depth
+        _parse(_source(args.mu)), _parse(_source(args.nu)), args.epsilon, args.max_depth
     )
     if isinstance(result, orthogonality.OrthoCertificate):
         _emit([("result", "certificate")] + _cert_items(result))
@@ -161,7 +142,7 @@ def _cmd_certify(args):
 
 def _cmd_modulus(args):
     result = orthogonality.continuity_modulus(
-        _measure(args.mu), args.epsilon, args.max_depth
+        _parse(_source(args.mu)), args.epsilon, args.max_depth
     )
     if isinstance(result, orthogonality.Modulus):
         _emit([("result", "modulus"), ("n", result.n)])
@@ -181,8 +162,9 @@ def _cmd_modulus(args):
 
 
 def _cmd_refute_ac(args):
+    mu, nu = _parse(_source(args.mu)), _parse(_source(args.nu))
     result = orthogonality.refute_abs_continuity(
-        _measure(args.mu), _measure(args.nu), args.epsilon, args.stages, args.max_depth
+        mu, nu, args.epsilon, args.stages, args.max_depth
     )
     if isinstance(result, orthogonality.RefutationWitness):
         items = [("result", "refutation"), ("epsilon", result.epsilon)]
@@ -204,12 +186,14 @@ def _cmd_refute_ac(args):
 
 
 def _cmd_ei_sum(args):
-    print(kakutani.ei_partial_sum(_pattern(args.x), _pattern(args.y), args.N))
+    x, y = (_parse(_source(arg), dsl.parse_pattern) for arg in (args.x, args.y))
+    print(kakutani.ei_partial_sum(x, y, args.N))
     return 0
 
 
 def _cmd_classify(args):
-    result = kakutani.classify_pair(_pattern(args.x), _pattern(args.y), args.budget)
+    x, y = (_parse(_source(arg), dsl.parse_pattern) for arg in (args.x, args.y))
+    result = kakutani.classify_pair(x, y, args.budget)
     if isinstance(result, kakutani.EquivalentFiniteDifference):
         _emit([("result", "equivalent"), ("last_diff", result.last_diff)])
         return 0
@@ -229,9 +213,8 @@ def _cmd_classify(args):
 
 
 def _cmd_hellinger(args):
-    report = kakutani.hellinger_partial(
-        _schedule(args.a), _schedule(args.b), args.N, args.precision
-    )
+    a, b = (_parse(_source(arg), dsl.parse_schedule) for arg in (args.a, args.b))
+    report = kakutani.hellinger_partial(a, b, args.N, args.precision)
     lo, hi = report.sum_interval
     _emit(
         [
@@ -245,7 +228,8 @@ def _cmd_hellinger(args):
 
 
 def _cmd_metric(args):
-    lo, hi = measures.metric_bracket(_measure(args.f), _measure(args.g), args.N)
+    f, g = _parse(_source(args.f)), _parse(_source(args.g))
+    lo, hi = measures.metric_bracket(f, g, args.N)
     _emit([("lo", lo), ("hi", hi)])
     return 0
 

@@ -6,7 +6,8 @@ t_k + '0'`` yields the spine; the encoder rescales the two children at the
 k-th spine node to an exact 2/3-1/3 split oriented by the k-th payload bit and
 leaves all other conditional masses unchanged, so the zero sets (and hence the
 measure class) of the base are preserved.  The decoder recomputes the spine
-and reads the orientation back off the exact ratios.
+and reads the orientation back off the exact ratios.  The spine is found by
+one cursor down the leftmost branch of positive mass (``_SpineCache``).
 """
 
 from __future__ import annotations
@@ -23,72 +24,50 @@ DEFAULT_BUDGET = 65536
 TWO_THIRDS = Fraction(2, 3)
 ONE_THIRD = Fraction(1, 3)
 
-_UNBOUNDED = float("inf")
-
 
 class _SpineCache:
-    """Lazily extended spine of one measure code.
+    """Lazily grown spine of one measure code.
 
-    Keeps, besides the confirmed nodes, the state of the pending search for
-    the next node so that length-capped searches can resume later.
+    A cursor walks the leftmost branch of positive mass below ``start``, the
+    search start (the root, then ``t_k + '0'``).  A node that does not split
+    has at most one child of positive mass, so the branch has one string per
+    level; it turns to ``'0'`` at every spine node, and the cursor is None
+    where it ends.  The walk resumes where the last query left it.
     """
 
     def __init__(self, code):
         self.code = code
         self.nodes = []
         self.index = {}
-        self._start = ""
-        self._frontier = None  # pending-search frontier, lex order
+        self.start = self.cursor = ""
 
-    def _step(self, limit_len, budget):
-        """Advance the pending search.  Returns 'found', 'over-limit' (no node
-        with length <= limit_len remains, as far as searched; resumable), or
-        'dead' (no positive continuation at all)."""
-        code = self.code
-        if self._frontier is None:
-            self._frontier = [self._start]
-        while True:
-            if not self._frontier:
-                return "dead"
-            cur_len = len(self._frontier[0])
-            if cur_len > limit_len:
-                return "over-limit"
-            if cur_len - len(self._start) > budget:
-                raise BudgetExceeded(
-                    f"no splitting node extending {self._start!r} "
-                    f"within {budget} levels"
-                )
-            for t in self._frontier:
-                if code.mass(t + "0") > 0 and code.mass(t + "1") > 0:
-                    self.index[t] = len(self.nodes)
-                    self.nodes.append(t)
-                    self._start = t + "0"
-                    self._frontier = None
-                    return "found"
-            self._frontier = [
-                t + b for t in self._frontier for b in "01" if code.mass(t + b) > 0
-            ]
+    def _step(self, budget):
+        """Move the cursor one level down, recording it as the next node if
+        it splits; BudgetExceeded once it is over ``budget`` levels past
+        ``start``."""
+        t = self.cursor
+        if len(t) - len(self.start) > budget:
+            raise BudgetExceeded(
+                f"no splitting node extending {self.start!r} within {budget} levels"
+            )
+        left, right = self.code.mass(t + "0") > 0, self.code.mass(t + "1") > 0
+        if left and right:
+            self.index[t] = len(self.nodes)
+            self.nodes.append(t)
+            self.start = t + "0"
+        self.cursor = t + "0" if left else t + "1" if right else None
 
-    def extend(self, budget, count=0, length=None, cap=_UNBOUNDED):
+    def extend(self, budget, count=0, length=None):
         """Search on until at least ``count`` nodes are known and, when
-        ``length`` is given, the last of them is at least that long.  Nodes
-        longer than ``cap`` are not sought: a capped search stops quietly
-        there, or where the spine ends, and can resume later; an uncapped
-        search raises BudgetExceeded when the spine ends."""
+        ``length`` is given, the last of them is at least that long; raises
+        BudgetExceeded where the spine ends."""
         nodes = self.nodes
         while len(nodes) < count or (
             length is not None and (not nodes or len(nodes[-1]) < length)
         ):
-            if self._step(cap, budget) != "found":
-                if cap == _UNBOUNDED:
-                    raise BudgetExceeded("spine ended: no further splitting node")
-                return
-
-    def path(self, length):
-        for t in self.nodes:
-            if len(t) >= length:
-                return t[:length]
-        raise BudgetExceeded(f"spine not developed to depth {length}")
+            if self.cursor is None:
+                raise BudgetExceeded("spine ended: no further splitting node")
+            self._step(budget)
 
 
 def _spine_cache(code):
@@ -140,9 +119,11 @@ class CodedMeasure(MeasureCode):
 
     def _spine_index_of(self, s):
         """Index of ``s`` in the base's spine, or None.  Decides membership by
-        materializing all base spine nodes of length <= len(s)."""
+        moving the base's spine cursor past ``len(s)``, or to where the
+        spine ends."""
         cache = _spine_cache(self.base)
-        cache.extend(self.budget, length=len(s) + 1, cap=len(s))
+        while cache.cursor is not None and len(cache.cursor) <= len(s):
+            cache._step(self.budget)
         return cache.index.get(s)
 
     def _mass_raw(self, s):
@@ -244,7 +225,7 @@ def density_limit(g, prefix):
         raise TypeError("density_limit is defined for encoded measures")
     cache = _spine_cache(g.base)
     cache.extend(g.budget, length=len(prefix))
-    if cache.path(len(prefix)) == prefix:
+    if cache.nodes[-1][: len(prefix)] == prefix:
         return NOT_YET_STABLE
     return Stabilized(density(g, prefix))
 
@@ -258,7 +239,7 @@ def offspine_decomposition(code, depth, budget=DEFAULT_BUDGET):
         return []
     cache = _spine_cache(code)
     cache.extend(check_natural(budget, "budget"), length=depth)
-    path = cache.path(depth)
+    path = cache.nodes[-1][:depth]
     return [
         path[: j - 1] + ("1" if path[j - 1] == "0" else "0") for j in range(1, depth + 1)
     ]

@@ -57,10 +57,11 @@ def _masses_above(mu, nu, d):
     # below a cell of zero mu-mass all the nu-mass lies in A
     mu_a, nu_a = ExactSum(), ExactSum()
     for s in _level_cells(nu, d, lambda s: mu.mass(s) == 0):
-        m, v = mu.mass(s), nu.mass(s)
-        if v > m:
-            mu_a.add(*m.as_integer_ratio())
-            nu_a.add(*v.as_integer_ratio())
+        mn, md = mu.mass(s).as_integer_ratio()
+        vn, vd = nu.mass(s).as_integer_ratio()
+        if vn * md > mn * vd:  # nu(s) > mu(s); denominators are positive
+            mu_a.add(mn, md)
+            nu_a.add(vn, vd)
     return mu_a.value(), nu_a.value()
 
 

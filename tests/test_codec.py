@@ -23,7 +23,8 @@ from cmc import (
     spine,
     validate_additivity,
 )
-from cmc.codec import Stabilized
+from cmc import codec
+from cmc.codec import CodedMeasure, Stabilized
 from cmc.bits import all_strings_of_length
 from cmc.schedules import ConstantSchedule
 
@@ -185,3 +186,158 @@ def test_finite_payload_then_base():
     g = encode(Uniform(), "1")
     # only the root is stamped; '0' keeps uniform conditionals
     assert g.mass("00") == g.mass("01") == F(1, 3)
+
+
+class _FrontierSpine:
+    """Reference spine search: a level-by-level frontier of the strings of
+    positive mass below the search start, scanned in lex order for the first
+    splitting node.  A search capped at length ``cap`` stops quietly there or
+    where the frontier dies; an uncapped one raises."""
+
+    def __init__(self, code):
+        self.code = code
+        self.nodes = []
+        self.index = {}
+        self.start = ""
+        self.frontier = None
+
+    def step(self, cap, budget):
+        code = self.code
+        if self.frontier is None:
+            self.frontier = [self.start]
+        while True:
+            if not self.frontier:
+                return "dead"
+            cur_len = len(self.frontier[0])
+            if cur_len > cap:
+                return "over-limit"
+            if cur_len - len(self.start) > budget:
+                raise BudgetExceeded(
+                    f"no splitting node extending {self.start!r} within {budget} levels"
+                )
+            for t in self.frontier:
+                if code.mass(t + "0") > 0 and code.mass(t + "1") > 0:
+                    self.index[t] = len(self.nodes)
+                    self.nodes.append(t)
+                    self.start = t + "0"
+                    self.frontier = None
+                    return "found"
+            self.frontier = [t + b for t in self.frontier for b in "01" if code.mass(t + b) > 0]
+
+    def extend(self, budget, count=0, length=None, cap=float("inf")):
+        nodes = self.nodes
+        while len(nodes) < count or (length is not None and (not nodes or len(nodes[-1]) < length)):
+            if self.step(cap, budget) != "found":
+                if cap == float("inf"):
+                    raise BudgetExceeded("spine ended: no further splitting node")
+                return
+
+    def path(self, length):
+        return next(t[:length] for t in self.nodes if len(t) >= length)
+
+
+def _frontier_spine(code):
+    if "_frontier" not in vars(code):
+        code._frontier = _FrontierSpine(code)
+    return code._frontier
+
+
+class _FrontierCoded(CodedMeasure):
+    def _spine_index_of(self, s):
+        cache = _frontier_spine(self.base)
+        cache.extend(self.budget, length=len(s) + 1, cap=len(s))
+        return cache.index.get(s)
+
+
+def _frontier_offspine(code, depth, budget):
+    if depth == 0:
+        return []
+    cache = _frontier_spine(code)
+    cache.extend(budget, length=depth)
+    path = cache.path(depth)
+    return [path[: j - 1] + ("1" if path[j - 1] == "0" else "0") for j in range(1, depth + 1)]
+
+
+def _sparse_table(rng, depth, additive):
+    # children of zero mass, single branches and, when not additive, child
+    # masses that do not sum to the parent's (possibly both zero)
+    entries, frontier = {}, {"": F(1)}
+    for _ in range(depth):
+        nxt = {}
+        for s, m in frontier.items():
+            num = rng.choice([0, 8, rng.randrange(9)])
+            a, b = m * F(num, 8), m * F(8 - num, 8)
+            if not additive and rng.random() < 0.3:
+                a, b = F(rng.randrange(3), 4), F(rng.randrange(3), 4)
+            entries[s + "0"] = nxt[s + "0"] = a
+            entries[s + "1"] = nxt[s + "1"] = b
+        frontier = nxt
+    return TableCode(depth, entries)
+
+
+def _finite_support(rng):
+    strings = []
+    for _ in range(rng.randrange(1, 5)):
+        t = "".join(rng.choice("01") for _ in range(rng.randrange(9)))
+        if not any(t.startswith(u) or u.startswith(t) for u in strings):
+            strings.append(t)
+    weights = [rng.randrange(1, 5) for _ in strings]
+    return FiniteSupport([(t, F(w, sum(weights))) for t, w in zip(strings, weights)])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (BudgetExceeded, NotInCodingDomain) as err:
+        return (type(err).__name__, str(err))
+
+
+def _spine_queries(make, budget, reference):
+    """Outcomes of one sequence of spine queries on fresh codes from
+    ``make``; the queries share each code's spine, so the searches resume."""
+    code, base = make(), make()
+    coded = (_FrontierCoded if reference else CodedMeasure)(base, "101", max(budget, 1))
+    offspine = _frontier_offspine if reference else offspine_decomposition
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(codec, "_spine_cache", _frontier_spine)
+        out = [_outcome(lambda: coded.mass(s)) for n in range(6) for s in all_strings_of_length(n)]
+        for n in range(4):
+            out.append(_outcome(lambda: spine(code, n, budget).nodes))
+            out.append(_outcome(lambda: offspine(code, 2 * n + 1, budget)))
+        out.append(_outcome(lambda: offspine(code, 0, budget)))
+        out += [_outcome(lambda: decode(code, k, budget)) for k in range(4)]
+        out += [_outcome(lambda: decode(coded, k, budget)) for k in range(4)]
+    return out
+
+
+def _spine_cases():
+    rng = random.Random(11)
+    cases = [("dead", lambda: TableCode(1, {"0": F(0), "1": F(0)})), ("dirac", lambda: Dirac("01"))]
+    for i in range(8):
+        seed = rng.random()
+        cases.append((f"table{i}", lambda seed=seed: _sparse_table(random.Random(seed), 5, True)))
+        cases.append(
+            (f"nonadd{i}", lambda seed=seed: _sparse_table(random.Random(seed), 4, False))
+        )
+        cases.append((f"finite{i}", lambda seed=seed: _finite_support(random.Random(seed))))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 5])
+def test_spine_cursor_matches_frontier_search(budget):
+    for name, make in _spine_cases():
+        expected = _spine_queries(make, budget, reference=True)
+        assert _spine_queries(make, budget, reference=False) == expected, name
+
+
+def test_dead_spine_texts():
+    dead = TableCode(1, {"0": F(0), "1": F(0)})
+    with pytest.raises(BudgetExceeded, match="^spine ended: no further splitting node$"):
+        spine(dead, 0, budget=4)
+    # a coded cylinder stops quietly where the base's spine ends
+    assert encode(dead, "1").mass("0") == 0
+    assert decode(dead, 0) == ""
+    f = FiniteSupport([("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))])
+    with pytest.raises(BudgetExceeded, match="^no splitting node extending '000' within 2 levels$"):
+        spine(f, 2, budget=2)
