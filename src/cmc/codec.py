@@ -148,6 +148,17 @@ class CodedMeasure(MeasureCode):
             return ZERO
         return gp / fp * fs
 
+    def product_below(self, s):
+        """The base's schedule below ``s`` once no stamped spine node extends
+        ``s``.  Past ``_spine_index_of(s)`` the cursor is longer than ``s`` or
+        gone, and every node not yet known extends it."""
+        self._spine_index_of(s)
+        cache, bits = _spine_cache(self.base), self.payload_bits
+        ends = cache.nodes[: None if bits is None else len(bits)][-1:]  # the last stamped node
+        if cache.cursor is not None and (bits is None or len(cache.nodes) < len(bits)):
+            ends.append(cache.cursor)
+        return None if any(t.startswith(s) for t in ends) else self.base.product_below(s)
+
     def __repr__(self):
         return f"CodedMeasure({self.base!r}, {self.payload!r}, budget={self.budget})"
 

@@ -5,6 +5,9 @@ A measure code is a map ``f`` from finite binary strings to ``[0,1]`` with
 Borel probability measure with ``mu(N_s) == f(s)``.  All values are exact
 ``Fraction``s.  Codes are immutable after construction; cylinder values are
 memoized per instance, which never changes results.
+
+``product_below(s)`` names the schedule of a code's law conditioned on
+``N_s`` where that law is a product by construction; gaps sweep there.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .schedules import ConstantSchedule, Schedule
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+UNIFORM_SCHEDULE = ConstantSchedule(HALF)  # shared, so mixtures can match it
 
 
 def _check_unit(value, what="value"):
@@ -63,10 +67,9 @@ class MeasureCode:
     def _mass_raw(self, s):
         raise NotImplementedError
 
-    def product_schedule(self):
-        """The coordinate schedule when this code is (extensionally) a product
-        measure by construction, else None.  Lets deep total-variation sweeps
-        use the factorized fast path."""
+    def product_below(self, s):
+        """A schedule whose coordinates ``len(s)..`` give this code's law given
+        ``N_s`` when that law is a product by construction, else None."""
         return None
 
 
@@ -76,8 +79,8 @@ class Uniform(MeasureCode):
     def _mass_raw(self, s):
         return Fraction(1, 1 << len(s))
 
-    def product_schedule(self):
-        return ConstantSchedule(HALF)
+    def product_below(self, s):
+        return UNIFORM_SCHEDULE
 
     def __repr__(self):
         return "Uniform()"
@@ -144,6 +147,11 @@ class Convex(MeasureCode):
     def _mass_raw(self, s):
         return sum((w * child.mass(s) for w, child in self.terms), ZERO)
 
+    def product_below(self, s):
+        """The one schedule object every term with mass at ``s`` has below it."""
+        found = [c.product_below(s) for w, c in self.terms if w and c.mass(s)]
+        return found[0] if found and all(x is found[0] for x in found) else None
+
     def __repr__(self):
         return f"Convex({list(self.terms)})"
 
@@ -164,7 +172,7 @@ class ProductCode(MeasureCode):
         a = self.schedule.alpha(len(s) - 1)
         return self._parent_mass(s) * (a if s[-1] == "0" else 1 - a)
 
-    def product_schedule(self):
+    def product_below(self, s):
         return self.schedule
 
     def __repr__(self):
@@ -206,6 +214,9 @@ class TableCode(MeasureCode):
         if sib in self.entries:
             return parent - self.entries[sib]
         return parent / 2
+
+    def product_below(self, s):
+        return UNIFORM_SCHEDULE if len(s) >= self.depth else None
 
     def __repr__(self):
         return f"TableCode({self.depth}, {self.entries})"

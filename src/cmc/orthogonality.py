@@ -5,6 +5,10 @@ by which one measure exceeds the other.  It equals the depth-d total
 variation distance, is nondecreasing in depth, and tends to 1 exactly for
 orthogonal pairs, so certificates found at a finite depth are conclusive
 while absence of one never is.
+
+A gap walks down to the frontier cells where both codes are products
+(``MeasureCode.product_below``) and settles each with one seeded product
+sweep; without product structure it splits no cell below ``_GENERIC_DEPTH``.
 """
 
 from __future__ import annotations
@@ -21,45 +25,55 @@ from .productgap import mim_masses, tv_upper_bound
 from .schedules import ks_schedule
 
 _ENUM_DEPTH = 16  # product pairs deeper than this get the affinity prefilter
-_GENERIC_DEPTH = 22  # level-walk limit without product structure
+_GENERIC_DEPTH = 22  # deepest cell the walk splits without product structure
 _CELL_LIMIT = 1 << 18  # largest certificate cell set materialized
 _PROBE_DEPTH = 12  # reported gap depth when a sweep is pre-filtered away
 
 
-def _probs(code, d):
-    sched = code.product_schedule()
-    return None if sched is None else map(sched.alpha, range(d))
+def _probs(code, s, d):
+    """Probabilities of coordinates ``len(s)..d-1`` below ``N_s``, or None."""
+    sched = code.product_below(s)
+    return None if sched is None else map(sched.alpha, range(len(s), d))
 
 
-def _level_cells(code, d, whole=None):
-    """The level-``d`` cells of positive ``code``-mass, in lex order.  The
-    walk never descends below a zero-mass cylinder, and a shallower cell
-    where ``whole(s)`` holds is yielded in place of its level-d cells."""
+def _level_cells(code, d):
+    """The level-``d`` cells of positive ``code``-mass, in lex order."""
     stack = [""]
     while stack:
         s = stack.pop()
         if code.mass(s) == 0:
             continue
-        if len(s) == d or (whole is not None and whole(s)):
+        if len(s) == d:
             yield s
         else:
             stack += (s + "1", s + "0")
 
 
 def _masses_above(mu, nu, d):
-    """Exact (mu(A), nu(A)) for the level-d cell set A = {nu > mu}; without
-    product structure, one level walk adds them up in an ``ExactSum`` each."""
-    pa, pb = _probs(mu, d), _probs(nu, d)
+    """Exact (mu(A), nu(A)) for the level-d cell set A = {nu > mu}: one sweep
+    for products from the root, else a walk to cells of zero mass, at level d
+    or on the frontier, whose pieces two ``ExactSum``s add up."""
+    pa, pb = _probs(mu, "", d), _probs(nu, "", d)
     if pa is not None and pb is not None:
         return mim_masses(pa, pb, d)
-    if d > _GENERIC_DEPTH:
-        raise BudgetExceeded(f"depth {d} needs product structure on both codes")
-    # below a cell of zero mu-mass all the nu-mass lies in A
     mu_a, nu_a = ExactSum(), ExactSum()
-    for s in _level_cells(nu, d, lambda s: mu.mass(s) == 0):
-        mn, md = mu.mass(s).as_integer_ratio()
-        vn, vd = nu.mass(s).as_integer_ratio()
-        if vn * md > mn * vd:  # nu(s) > mu(s); denominators are positive
+    stack = [""]
+    while stack:
+        s = stack.pop()
+        m, v = mu.mass(s), nu.mass(s)
+        if not v:
+            continue
+        # below a cell of zero mu-mass all the nu-mass lies in A
+        if m and len(s) < d:
+            pa, pb = _probs(mu, s, d), _probs(nu, s, d)
+            if pa is None or pb is None:
+                if len(s) == _GENERIC_DEPTH:
+                    raise BudgetExceeded(f"depth {d} needs product structure on both codes")
+                stack += (s + "1", s + "0")
+                continue
+            m, v = mim_masses(pa, pb, d, (m, v))  # (0, 0) or v > m
+        (mn, md), (vn, vd) = m.as_integer_ratio(), v.as_integer_ratio()
+        if vn * md > mn * vd:  # nu > mu; denominators are positive
             mu_a.add(mn, md)
             nu_a.add(vn, vd)
     return mu_a.value(), nu_a.value()
@@ -102,7 +116,7 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
     """
     epsilon = _check_epsilon(epsilon)
     check_natural(max_depth, "max_depth")
-    pa, pb = _probs(mu, max_depth), _probs(nu, max_depth)
+    pa, pb = _probs(mu, "", max_depth), _probs(nu, "", max_depth)
     if pa is not None and pb is not None and max_depth > _ENUM_DEPTH:
         bound = tv_upper_bound(pa, pb, max_depth)
         if bound <= 1 - 2 * epsilon:
@@ -121,7 +135,10 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
                     f"certificate exists at depth {d} but its cell family "
                     f"is too large to materialize"
                 )
-            cells = [s for s in _level_cells(nu, d) if nu.mass(s) > mu.mass(s)]
+            pairs = ((s, mu.mass(s), nu.mass(s)) for s in _level_cells(nu, d))
+            cells = [
+                s for s, m, v in pairs if v.numerator * m.denominator > m.numerator * v.denominator
+            ]
             return OrthoCertificate(epsilon, d, CylinderFamily(cells), mu_a, nu_a)
     return Inconclusive(best, best_depth)
 

@@ -46,12 +46,12 @@ MIM_MAX_BITS = 1 << 33  # bits of cell numerators per half: enough for any ks pa
 GUARD = 2.0**-30  # float comparisons defer to exact ones within GUARD * (1 + bits)
 
 
-def _build_half(classes):
-    """Cell numerators for a block of coordinate classes, plus the two common
-    denominators.  A class ``((a, b), c)`` of ``c`` coordinates gives one
-    cell per zero count ``k``, weighted by ``comb(c, k)`` in both measures."""
-    mu, nu = [1], [1]
-    mu_den = nu_den = 1
+def _build_half(classes, seed=(1, 1)):
+    """Cell numerators for a block of coordinate classes, times ``seed``, plus
+    the two common denominators.  A class ``((a, b), c)`` of ``c`` coordinates
+    gives one cell per zero count ``k``, weighted by ``comb(c, k)`` in both."""
+    (m0, mu_den), (n0, nu_den) = (x.as_integer_ratio() for x in seed)
+    mu, nu = [m0], [n0]
     for (a, b), c in classes:
         a0, a1 = a.numerator, a.denominator - a.numerator
         b0, b1 = b.numerator, b.denominator - b.numerator
@@ -112,10 +112,11 @@ def _ratio_sort(nu, mu, band):
     return nu, mu, key
 
 
-def mim_masses(aprobs, bprobs, d):
+def mim_masses(aprobs, bprobs, d, seed=(1, 1)):
     """(mu(A), nu(A)) by meet-in-the-middle over the first ``d`` coordinates,
     grouped by their probability pair ``(a_n, b_n)``.  The probabilities may
-    be iterators; they are read no further than the limits need."""
+    be iterators; they are read no further than the limits need.  Every cell
+    carries the factor ``seed``, the masses of the cylinder ``N_s`` they follow."""
     counts = {}  # (a, b) with a != b -> coordinates, in order of first appearance
     total = 1  # cells of both halves together
     for pair in islice(zip(aprobs, bprobs), d):
@@ -143,7 +144,7 @@ def mim_masses(aprobs, bprobs, d):
                 f"depth {d} needs more than {MIM_MAX_CELLS} cells or {MIM_MAX_BITS} "
                 f"bits in one half of the product sweep"
             )
-    mu1, nu1, mud1, nud1 = _build_half(halves[0])
+    mu1, nu1, mud1, nud1 = _build_half(halves[0], seed)
     mu2, nu2, mud2, nud2 = _build_half(halves[1])
     mu_den = mud1 * mud2
     nu_den = nud1 * nud2

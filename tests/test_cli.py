@@ -144,6 +144,16 @@ def test_gap_beyond_sweep_limit_is_budget_exceeded(capsys):
     assert out.startswith("error: budget-exceeded\n")
 
 
+def test_gap_walk_without_products_stops_at_level_22(capsys):
+    # the mixture of two distinct products is a product below no cell: the
+    # walk refuses at its first level-22 cell instead of splitting 2**23
+    code, out = run(
+        capsys, "gap", "convex(1/2: uniform, 1/2: product(const(1/3)))", "product(const(1/4))", "23"
+    )
+    assert code == 2
+    assert out.startswith("error: budget-exceeded\n")
+
+
 def test_at_file_input(tmp_path, capsys):
     p = tmp_path / "m.dsl"
     p.write_text("convex(1/2: uniform, 1/2: dirac(0))")

@@ -25,8 +25,9 @@ from cmc import (
 )
 from cmc import codec
 from cmc.codec import CodedMeasure, Stabilized
-from cmc.bits import all_strings_of_length
-from cmc.schedules import ConstantSchedule
+from cmc.bits import PeriodicBits, all_strings_of_length
+from cmc.measures import UNIFORM_SCHEDULE
+from cmc.schedules import ConstantSchedule, Schedule
 
 
 def _mixed_base():
@@ -180,6 +181,38 @@ def test_cold_deep_coded_cylinder():
     # stamps the first three nodes, the base's 1/3 takes over below
     g = encode(ProductCode(ConstantSchedule(F(1, 3))), "101")
     assert g.mass("0" * 5000) == F(2, 3) * F(1, 3) * F(2, 3) * F(1, 3) ** 4997
+
+
+def test_coded_product_below():
+    u = UNIFORM_SCHEDULE
+    # the uniform spine is "", "0", "00", ...; the payload stamps "" and "0"
+    g = encode(Uniform(), "10")
+    assert [g.product_below(s) for s in ("", "0", "1", "00", "01", "0010")] == [
+        None, None, u, u, u, u
+    ]
+    # an infinite payload stamps every node, so the zeros never turn product
+    h = encode(Uniform(), PeriodicBits("", "1"))
+    assert [h.product_below(s) for s in ("000", "001", "1")] == [None, u, u]
+    third = ConstantSchedule(F(1, 3))
+    assert encode(ProductCode(third), "101").product_below("001") is third
+    assert encode(ProductCode(third), "").product_below("") is third
+    # a table base is a product below its depth only; a coded base below its
+    # own stamped nodes too
+    t = encode(TableCode(2, {"1": F(1, 4)}), "1")
+    assert [t.product_below(s) for s in ("1", "01", "10")] == [None, u, u]
+    cc = encode(encode(Uniform(), "101"), "1")
+    assert [cc.product_below(s) for s in ("0", "00", "000", "01", "1")] == [None, None, u, u, u]
+    dead = TableCode(1, {"0": F(0), "1": F(0)})
+    assert [encode(dead, "1").product_below(s) for s in ("", "0")] == [None, u]
+    # bit 0 is certain on three coordinates, so the base's first spine node
+    # is '000', still ahead of the cursor when '0' is asked about
+    class SureThenFair(Schedule):
+        def alpha(self, n):
+            return F(1) if n < 3 else F(1, 2)
+
+    sure = SureThenFair()
+    late = encode(ProductCode(sure), "1")
+    assert [late.product_below(s) for s in ("0", "00", "0001")] == [None, None, sure]
 
 
 def test_finite_payload_then_base():

@@ -22,7 +22,7 @@ from cmc import (
     validate_additivity,
 )
 from cmc.bits import PeriodicBits, all_strings_of_length, shortlex_string
-from cmc.measures import ExactSum
+from cmc.measures import UNIFORM_SCHEDULE, ExactSum
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
 
@@ -96,6 +96,26 @@ def test_table_masses():
     assert t.mass("000") == F(1, 12)  # uniform below the stored depth
     with pytest.raises(SemanticError):
         TableCode(1, {"00": F(1, 4)})
+
+
+def test_product_below_per_code_kind():
+    u = UNIFORM_SCHEDULE
+    assert Uniform().product_below("") is u and Uniform().product_below("0101") is u
+    third = ConstantSchedule(F(1, 3))
+    assert ProductCode(third).product_below("11") is third
+    assert Dirac("01").product_below("0") is None
+    assert FiniteSupport([("0", F(1))]).product_below("1") is None
+    t = TableCode(2, {"0": F(1, 3)})
+    assert [t.product_below(s) for s in ("", "1", "10", "101")] == [None, None, u, u]
+    # a mixture is a product where its terms of positive weight and mass
+    # share one schedule object
+    mix = Convex([(F(1, 2), t), (F(1, 2), Uniform()), (F(0), ProductCode(third))])
+    assert mix.product_below("1") is None and mix.product_below("10") is u
+    point = Convex([(F(1, 2), Dirac("0")), (F(1, 2), Uniform())])
+    assert point.product_below("0") is None and point.product_below("10") is u
+    equal = Convex([(F(1, 2), ProductCode(ConstantSchedule(F(1, 2)))), (F(1, 2), Uniform())])
+    assert equal.product_below("0") is None
+    assert Convex([(F(1, 2), Uniform()), (F(1, 2), ProductCode(third))]).product_below("0") is None
 
 
 def test_cold_deep_cylinders():

@@ -7,8 +7,10 @@ import pytest
 
 from cmc import (
     AtomWitness,
+    Convex,
     Dirac,
     Failure,
+    FiniteSupport,
     Inconclusive,
     Modulus,
     OrthoCertificate,
@@ -19,6 +21,7 @@ from cmc import (
     ZEROS,
     build_family,
     continuity_modulus,
+    encode,
     extend_family,
     gap,
     ks_schedule,
@@ -29,10 +32,11 @@ from cmc import (
     refute_abs_continuity,
 )
 from cmc.bits import PeriodicBits, all_strings_of_length
-from cmc.errors import BudgetExceeded
-from cmc import productgap
+from cmc.errors import BudgetExceeded, CmcError
+from cmc import orthogonality, productgap
+from cmc.measures import ExactSum
 from cmc.productgap import GUARD, _ratio_sort, mim_masses, tv_upper_bound
-from cmc.schedules import ConstantSchedule, ExplicitSchedule
+from cmc.schedules import ConstantSchedule, ExplicitSchedule, Schedule
 
 
 def _brute_gap(mu, nu, d):
@@ -70,6 +74,94 @@ def test_gap_symmetric_and_monotone():
 
 def test_gap_zero_for_identical():
     assert gap(Uniform(), Uniform(), 10) == 0
+
+
+def _level_walk_masses(mu, nu, d):
+    """Reference for ``_masses_above``: the level walk it replaced, which
+    visits every level-d cell of positive nu-mass unless mu vanishes above it,
+    product codes included."""
+
+    def cells(code, whole):
+        stack = [""]
+        while stack:
+            s = stack.pop()
+            if code.mass(s) == 0:
+                continue
+            if len(s) == d or whole(s):
+                yield s
+            else:
+                stack += (s + "1", s + "0")
+
+    mu_a, nu_a = ExactSum(), ExactSum()
+    for s in cells(nu, lambda s: mu.mass(s) == 0):
+        mn, md = mu.mass(s).as_integer_ratio()
+        vn, vd = nu.mass(s).as_integer_ratio()
+        if vn * md > mn * vd:
+            mu_a.add(mn, md)
+            nu_a.add(vn, vd)
+    return mu_a.value(), nu_a.value()
+
+
+class _SureThenFair(Schedule):
+    """Bit 0 for certain on the first three coordinates, then fair: the
+    spine of its product starts at ``'000'``, below levels that do not split."""
+
+    def alpha(self, n):
+        return F(1) if n < 3 else F(1, 2)
+
+
+def _frontier_codes():
+    """Every code kind, fresh: products below the root, below a table's
+    depth, below off-spine cells of coded codes and where a mixture's terms
+    share ``UNIFORM_SCHEDULE``; mixtures of distinct products; dead spines;
+    a coded product whose first spine node lies below cells that are
+    products for its base."""
+    t2 = TableCode(2, {"0": F(1, 3), "00": F(1, 4), "10": F(1, 2)})
+    t3 = TableCode(3, {"0": F(3, 5), "01": F(1, 5), "101": F(1, 7)})
+    third = ProductCode(ConstantSchedule(F(1, 3)))
+    dead = TableCode(1, {"0": F(0), "1": F(0)})
+    return [
+        Uniform(),
+        Dirac("0110"),
+        FiniteSupport([("00", F(1, 2)), ("101", F(1, 4)), ("11", F(1, 4))]),
+        third,
+        ProductCode(ks_schedule(PeriodicBits("01", "011"))),
+        t2,
+        t3,
+        encode(t3, "1011"),
+        encode(ProductCode(ConstantSchedule(F(1, 3))), "1011"),
+        encode(encode(Uniform(), "10"), "011"),
+        encode(Uniform(), ""),
+        encode(TableCode(2, {"1": F(1, 4)}), PeriodicBits("", "10")),
+        Convex([(F(1, 2), t3), (F(1, 2), Uniform())]),
+        Convex([(F(1, 2), Dirac("0110")), (F(1, 2), t2)]),
+        Convex([(F(1, 3), Uniform()), (F(2, 3), third), (F(0), Dirac("1"))]),
+        dead,
+        encode(dead, "1"),
+        encode(Dirac("01"), "1", budget=4),
+        encode(ProductCode(_SureThenFair()), "1"),
+    ]
+
+
+def _walk_outcome(walk, mu, nu, d):
+    try:
+        return walk(mu, nu, d)
+    except CmcError as exc:
+        return type(exc), str(exc)
+
+
+def test_frontier_walk_matches_level_walk():
+    # exact pairs, or exception type and text, on every ordered pair
+    new, old = _frontier_codes(), _frontier_codes()
+    kinds = set()
+    for i in range(len(new)):
+        for j in range(len(new)):
+            for d in range(11):
+                got = _walk_outcome(orthogonality._masses_above, new[i], new[j], d)
+                want = _walk_outcome(_level_walk_masses, old[i], old[j], d)
+                assert got == want, (i, j, d)
+                kinds.add(type(got[0]))
+    assert kinds == {F, type}  # both answers and budget exceptions occur
 
 
 def test_ratio_sort_exact_where_float_keys_tie():
