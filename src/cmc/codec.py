@@ -17,12 +17,9 @@ from fractions import Fraction
 
 from .bits import check_natural
 from .errors import BudgetExceeded, NotInCodingDomain, ZeroMass
-from .measures import MeasureCode, ONE, ZERO
+from .measures import MeasureCode, ZERO
 
 DEFAULT_BUDGET = 65536
-
-TWO_THIRDS = Fraction(2, 3)
-ONE_THIRD = Fraction(1, 3)
 
 
 class _SpineCache:
@@ -32,7 +29,8 @@ class _SpineCache:
     search start (the root, then ``t_k + '0'``).  A node that does not split
     has at most one child of positive mass, so the branch has one string per
     level; it turns to ``'0'`` at every spine node, and the cursor is None
-    where it ends.  The walk resumes where the last query left it.
+    where it ends.  The walk resumes where the last query left it, and it
+    memoizes nothing.
     """
 
     def __init__(self, code):
@@ -40,6 +38,7 @@ class _SpineCache:
         self.nodes = []
         self.index = {}
         self.start = self.cursor = ""
+        self.mass = code._peek("")  # the cursor's mass
 
     def _step(self, budget):
         """Move the cursor one level down, recording it as the next node if
@@ -50,12 +49,20 @@ class _SpineCache:
             raise BudgetExceeded(
                 f"no splitting node extending {self.start!r} within {budget} levels"
             )
-        left, right = self.code.mass(t + "0") > 0, self.code.mass(t + "1") > 0
-        if left and right:
+        left, right = self._child(t + "0"), self._child(t + "1")
+        lp, rp = left.numerator > 0, right.numerator > 0  # no Fraction comparison
+        if lp and rp:
             self.index[t] = len(self.nodes)
             self.nodes.append(t)
             self.start = t + "0"
-        self.cursor = t + "0" if left else t + "1" if right else None
+        self.cursor, self.mass = (t + "0", left) if lp else (t + "1", right) if rp else (None, None)
+
+    def _child(self, c):
+        """Mass of the cursor's child ``c``, by the code's rule from the
+        cursor's mass where it has one."""
+        code, (n, d) = self.code, self.mass.as_integer_ratio()
+        rule = code._split(c, len(c), n > 0)
+        return code._peek(c) if rule is None else Fraction(n * rule[0], d * rule[1])
 
     def extend(self, budget, count=0, length=None):
         """Search on until at least ``count`` nodes are known and, when
@@ -126,27 +133,21 @@ class CodedMeasure(MeasureCode):
             cache._step(self.budget)
         return cache.index.get(s)
 
-    def _mass_raw(self, s):
-        if not s:
-            return ONE
-        parent, child = s[:-1], s[-1]
-        gp = self._parent_mass(s)
-        if gp == 0:
-            return ZERO
-        fp = self.base.mass(parent)
-        k = self._spine_index_of(parent) if fp > 0 else None
+    def _split(self, s, i, positive):
+        """The stamped 2/3-1/3 split at a stamped spine node, else the base's
+        conditional ratio, by its rule or from its masses.  Below the root a
+        cylinder has the sign of the base's, so only a ``positive`` parent
+        can be a spine node."""
+        base, u = self.base, s[: i - 1]
+        if i == 1 and not base._peek(""):
+            return 0, 1
+        k = self._spine_index_of(u) if positive else None
         if k is not None:
             try:
-                bit = self.payload[k]
+                return (2, 3) if (s[i - 1] == "0") == (self.payload[k] == 1) else (1, 3)
             except IndexError:
-                bit = None
-            if bit is not None:
-                two_thirds_side = "0" if bit == 1 else "1"
-                return gp * (TWO_THIRDS if child == two_thirds_side else ONE_THIRD)
-        fs = self.base.mass(s)
-        if fs == 0 or fp == 0:
-            return ZERO
-        return gp / fp * fs
+                pass
+        return base._split(s, i, positive) or (base.mass(s[:i]) / base.mass(u)).as_integer_ratio()
 
     def product_below(self, s):
         """The base's schedule below ``s`` once no stamped spine node extends

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import bits
 from .bits import check_bitstring, check_natural, shortlex_string
@@ -35,7 +36,8 @@ def _check_unit(value, what="value"):
 
 
 class MeasureCode:
-    """Base class; subclasses implement ``_mass_raw``."""
+    """Base class.  A code given by conditional ratios has ``_split``, which a
+    cold cylinder descends by; any other code overrides ``_mass_raw``."""
 
     def __init__(self):
         self._memo = {}
@@ -45,27 +47,41 @@ class MeasureCode:
         v = self._memo.get(s)
         if v is None:
             check_bitstring(s)
-            v = self._mass_raw(s)
-            self._memo[s] = v
+            v = self._memo[s] = self._mass_raw(s)
         return v
 
-    def _parent_mass(self, s):
-        """Mass of ``s[:-1]``, for codes that derive a cylinder from its
-        parent.  Missing ancestors are evaluated shortest first, from the
-        deepest memoized one down, so no evaluation recurses more than one
-        level."""
-        memo = self._memo
-        v = memo.get(s[:-1])
-        if v is None:
-            n = len(s) - 2
-            while n >= 0 and s[:n] not in memo:
-                n -= 1
-            for k in range(n + 1, len(s)):
-                v = self.mass(s[:k])
-        return v
+    def _peek(self, s):
+        """``mass(s)`` for a checked ``s``, memoizing nothing."""
+        v = self._memo.get(s)
+        return self._mass_raw(s) if v is None else v
+
+    def _split(self, s, i, positive):
+        """Integers ``(p, q)``, ``q > 0``: ``mass(s[:i])`` is ``p/q`` of the parent's,
+        whose sign ``positive`` gives; None where the code has no such rule."""
+        return None
 
     def _mass_raw(self, s):
-        raise NotImplementedError
+        """The descent: from the deepest memoized ancestor (or the root, of
+        mass 1), one conditional ratio per level, to the first zero."""
+        memo, k, m = self._memo, len(s), None
+        while m is None:
+            k -= 1
+            m = memo.get(s[:k]) if k > 0 else ONE
+        up = m.numerator
+        if not up:
+            return ZERO
+        num = den = 1
+        bound = 1 << 12  # bits; ratios read off masses telescope, so reduce past it
+        for i in range(max(k, 0) + 1, len(s) + 1):
+            p, q = self._split(s, i, (num > 0) == (up > 0))
+            if not p:
+                return ZERO
+            num, den = num * p, den * q
+            if den.bit_length() > bound:
+                g = gcd(num, den)
+                num, den = num // g, den // g
+                bound = max(bound, 2 * den.bit_length())
+        return m * Fraction(num, den)  # reduced crosswise: no gcd of m with a long integer
 
     def product_below(self, s):
         """A schedule whose coordinates ``len(s)..`` give this code's law given
@@ -78,6 +94,9 @@ class Uniform(MeasureCode):
 
     def _mass_raw(self, s):
         return Fraction(1, 1 << len(s))
+
+    def _split(self, s, i, positive):
+        return 1, 2
 
     def product_below(self, s):
         return UNIFORM_SCHEDULE
@@ -166,11 +185,9 @@ class ProductCode(MeasureCode):
             raise TypeError(f"not a schedule: {schedule!r}")
         self.schedule = schedule
 
-    def _mass_raw(self, s):
-        if not s:
-            return ONE
-        a = self.schedule.alpha(len(s) - 1)
-        return self._parent_mass(s) * (a if s[-1] == "0" else 1 - a)
+    def _split(self, s, i, positive):
+        p, q = self.schedule.alpha(i - 1).as_integer_ratio()
+        return (p, q) if s[i - 1] == "0" else (q - p, q)
 
     def product_below(self, s):
         return self.schedule
@@ -202,18 +219,21 @@ class TableCode(MeasureCode):
                 raise SemanticError(f"table entry {key!r} deeper than {depth}")
             self.entries[key] = _check_unit(value, f"table entry {key!r}")
 
+    def _split(self, s, i, positive):
+        return (1, 2) if i > self.depth else None
+
     def _mass_raw(self, s):
-        if len(s) > self.depth:
-            return self.mass(s[: self.depth]) / (1 << (len(s) - self.depth))
-        if s in self.entries:
-            return self.entries[s]
-        if not s:
-            return ONE
-        parent = self._parent_mass(s)
-        sib = bits.sibling(s)
-        if sib in self.entries:
-            return parent - self.entries[sib]
-        return parent / 2
+        """The entry rule from the deepest memoized ancestor (or the root)
+        down to the table's depth, then an even split per level."""
+        memo, entries, d = self._memo, self.entries, min(len(s), self.depth)
+        k, v = d + 1, None
+        while v is None:
+            k -= 1
+            v = memo.get(s[:k]) if k > 0 else entries.get("", ONE)
+        for i in range(k + 1, d + 1):
+            t, sib = s[:i], bits.sibling(s[:i])
+            v = entries[t] if t in entries else v - entries[sib] if sib in entries else v / 2
+        return v / (1 << (len(s) - d)) if len(s) > d else v
 
     def product_below(self, s):
         return UNIFORM_SCHEDULE if len(s) >= self.depth else None

@@ -8,7 +8,8 @@ while absence of one never is.
 
 A gap walks down to the frontier cells where both codes are products
 (``MeasureCode.product_below``) and settles each with one seeded product
-sweep; without product structure it splits no cell below ``_GENERIC_DEPTH``.
+sweep, or by its two masses where both share one schedule; without product
+structure it splits no cell below ``_GENERIC_DEPTH``.
 """
 
 from __future__ import annotations
@@ -65,13 +66,15 @@ def _masses_above(mu, nu, d):
             continue
         # below a cell of zero mu-mass all the nu-mass lies in A
         if m and len(s) < d:
-            pa, pb = _probs(mu, s, d), _probs(nu, s, d)
-            if pa is None or pb is None:
+            sa, sb = mu.product_below(s), nu.product_below(s)
+            if sa is None or sb is None:
                 if len(s) == _GENERIC_DEPTH:
                     raise BudgetExceeded(f"depth {d} needs product structure on both codes")
                 stack += (s + "1", s + "0")
                 continue
-            m, v = mim_masses(pa, pb, d, (m, v))  # (0, 0) or v > m
+            if sa is not sb:  # with one schedule, every cell below has the ratio of s
+                r = range(len(s), d)
+                m, v = mim_masses(map(sa.alpha, r), map(sb.alpha, r), d, (m, v))  # (0, 0) or v > m
         (mn, md), (vn, vd) = m.as_integer_ratio(), v.as_integer_ratio()
         if vn * md > mn * vd:  # nu > mu; denominators are positive
             mu_a.add(mn, md)

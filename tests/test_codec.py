@@ -27,7 +27,7 @@ from cmc import codec
 from cmc.codec import CodedMeasure, Stabilized
 from cmc.bits import PeriodicBits, all_strings_of_length
 from cmc.measures import UNIFORM_SCHEDULE
-from cmc.schedules import ConstantSchedule, Schedule
+from cmc.schedules import ConstantSchedule, ExplicitSchedule, Schedule, ks_schedule
 
 
 def _mixed_base():
@@ -213,6 +213,68 @@ def test_coded_product_below():
     sure = SureThenFair()
     late = encode(ProductCode(sure), "1")
     assert [late.product_below(s) for s in ("0", "00", "0001")] == [None, None, sure]
+
+
+def _descent_cases():
+    """Codes given by conditional ratios, and coded codes over bases with and
+    without them, by name."""
+    bases = {
+        "uniform": Uniform,
+        "const": lambda: ProductCode(ConstantSchedule(F(1, 3))),
+        "ks": lambda: ProductCode(ks_schedule(PeriodicBits("0", "1"))),
+        "list": lambda: ProductCode(ExplicitSchedule([F(1, 3), F(2, 5), F(3, 4)], "cycle")),
+        "table": lambda: TableCode(3, {"0": F(1, 3), "00": F(1, 4), "10": F(1, 2), "101": F(1, 7)}),
+        # queries up to length 64 lie within its depth, the long ones below it
+        "deep-table": lambda: TableCode(70, {"1": F(1, 4), "01": F(1, 2), "0" * 40: F(1, 9)}),
+        "convex": _mixed_base,
+        "finite": lambda: FiniteSupport([("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))]),
+    }
+    cases = {k: v for k, v in bases.items() if k not in ("convex", "finite")}
+    for name in ("uniform", "const", "table", "convex", "finite"):
+        for payload in ("", "101", "1011001110001011"):
+            cases[f"coded-{name}-{payload}"] = lambda b=bases[name], p=payload: encode(b(), p)
+    return cases
+
+
+DESCENT_CASES = _descent_cases()
+
+
+@pytest.mark.parametrize("name", DESCENT_CASES)
+def test_cold_descent_matches_parent_first_chain(name):
+    make = DESCENT_CASES[name]
+    rng = random.Random(name)
+    queries = ["".join(rng.choice("01") for _ in range(rng.randrange(65))) for _ in range(40)]
+    queries += ["0" * 600, "1" * 600, "01" * 300]
+    chain = make()
+    for n in range(7):
+        for s in all_strings_of_length(n):
+            chain.mass(s)
+    for s in queries:
+        for k in range(len(s)):
+            chain.mass(s[:k])
+        assert make().mass(s) == chain.mass(s), s
+
+
+@pytest.mark.parametrize("name", DESCENT_CASES)
+def test_cold_query_memoizes_no_ancestors(name):
+    for pattern in ("01", "1", "0"):
+        sizes = []
+        for n in (60, 600):
+            g = DESCENT_CASES[name]()
+            g.mass((pattern * n)[:n])
+            base = getattr(g, "base", g)
+            # a mixture or a finite support as a base gets one cylinder per level
+            mixed = isinstance(base, (Convex, FiniteSupport))
+            sizes.append((len(g._memo), 0 if mixed else len(base._memo)))
+        assert sizes[0] == sizes[1] and sizes[0][0] == 1, (pattern, sizes)
+
+
+def test_decode_budget_leaves_the_memo_alone():
+    # the spine cursor walks the zeros below '000' and memoizes nothing
+    f = FiniteSupport([("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))])
+    with pytest.raises(BudgetExceeded, match="^no splitting node extending '000' within 2048 levels$"):
+        decode(f, 3, budget=2048)
+    assert len(f._memo) < 16
 
 
 def test_finite_payload_then_base():

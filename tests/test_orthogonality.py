@@ -27,6 +27,7 @@ from cmc import (
     ks_schedule,
     measure_of_family,
     ortho_certificate,
+    parse,
     perfect_family,
     product_code,
     refute_abs_continuity,
@@ -162,6 +163,39 @@ def test_frontier_walk_matches_level_walk():
                 assert got == want, (i, j, d)
                 kinds.add(type(got[0]))
     assert kinds == {F, type}  # both answers and budget exceptions occur
+
+
+class _Same(Schedule):
+    """An equal schedule that is not the same object."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def alpha(self, n):
+        return self.inner.alpha(n)
+
+
+def test_shared_schedule_cells_match_the_sweep(monkeypatch):
+    # a frontier cell where both codes share one schedule is settled by its
+    # own masses; an equal but distinct schedule sends it to mim_masses
+    calls = []
+    sweep = orthogonality.mim_masses
+    monkeypatch.setattr(orthogonality, "mim_masses", lambda *a: calls.append(a) or sweep(*a))
+    pairs = [
+        ("table(2; 0=1/3, 00=1/4, 10=1/2)", "table(3; 0=3/5, 01=1/5, 101=1/7)"),
+        ("convex(1/2: uniform, 1/2: dirac(0))", "uniform"),
+    ]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            for d in range(13):
+                calls.clear()
+                got = orthogonality._masses_above(parse(x), parse(y), d)
+                assert calls == []
+                mu = parse(x)
+                below = mu.product_below
+                mu.product_below = lambda s: None if below(s) is None else _Same(below(s))
+                assert orthogonality._masses_above(mu, parse(y), d) == got, (x, y, d)
+                assert calls or d <= 3, (x, y, d)
 
 
 def test_ratio_sort_exact_where_float_keys_tie():
