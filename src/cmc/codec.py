@@ -38,7 +38,7 @@ class _SpineCache:
         self.nodes = []
         self.index = {}
         self.start = self.cursor = ""
-        self.mass = code._peek("")  # the cursor's mass
+        self.mass = code._mass_raw("")  # the cursor's mass
 
     def _step(self, budget):
         """Move the cursor one level down, recording it as the next node if
@@ -62,7 +62,7 @@ class _SpineCache:
         cursor's mass where it has one."""
         code, (n, d) = self.code, self.mass.as_integer_ratio()
         rule = code._split(c, len(c), n > 0)
-        return code._peek(c) if rule is None else Fraction(n * rule[0], d * rule[1])
+        return code._mass_raw(c) if rule is None else Fraction(n * rule[0], d * rule[1])
 
     def extend(self, budget, count=0, length=None):
         """Search on until at least ``count`` nodes are known and, when
@@ -139,7 +139,7 @@ class CodedMeasure(MeasureCode):
         cylinder has the sign of the base's, so only a ``positive`` parent
         can be a spine node."""
         base, u = self.base, s[: i - 1]
-        if i == 1 and not base._peek(""):
+        if i == 1 and not base._mass_raw(""):
             return 0, 1
         k = self._spine_index_of(u) if positive else None
         if k is not None:
@@ -147,7 +147,11 @@ class CodedMeasure(MeasureCode):
                 return (2, 3) if (s[i - 1] == "0") == (self.payload[k] == 1) else (1, 3)
             except IndexError:
                 pass
-        return base._split(s, i, positive) or (base.mass(s[:i]) / base.mass(u)).as_integer_ratio()
+        rule = base._split(s, i, positive)
+        if rule is None:
+            (a, b), (c, d) = base.mass(s[:i]).as_integer_ratio(), base.mass(u).as_integer_ratio()
+            rule = (a * d, b * c) if c > 0 else (-a * d, -b * c)
+        return rule
 
     def product_below(self, s):
         """The base's schedule below ``s`` once no stamped spine node extends

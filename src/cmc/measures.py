@@ -50,11 +50,6 @@ class MeasureCode:
             v = self._memo[s] = self._mass_raw(s)
         return v
 
-    def _peek(self, s):
-        """``mass(s)`` for a checked ``s``, memoizing nothing."""
-        v = self._memo.get(s)
-        return self._mass_raw(s) if v is None else v
-
     def _split(self, s, i, positive):
         """Integers ``(p, q)``, ``q > 0``: ``mass(s[:i])`` is ``p/q`` of the parent's,
         whose sign ``positive`` gives; None where the code has no such rule."""
