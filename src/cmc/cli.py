@@ -64,6 +64,17 @@ def _rational(text):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _text(value):
+    """``str(value)`` with Python's limit on int-to-str digits lifted, so an
+    exact answer of any length prints; parsing keeps the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _render(items, indent=0):
     pad = "  " * indent
     lines = []
@@ -72,7 +83,7 @@ def _render(items, indent=0):
             lines.append(f"{pad}{key}:")
             lines.extend(_render(value, indent + 1))
         else:
-            lines.append(f"{pad}{key}: {value}")
+            lines.append(f"{pad}{key}: {_text(value)}")
     return lines
 
 
@@ -100,7 +111,7 @@ def _cert_items(cert):
 
 def _cmd_eval(args):
     code = _parse(_source(args.measure))
-    print(measures.eval_cylinder(code, check_bitstring(args.bits)))
+    print(_text(measures.eval_cylinder(code, check_bitstring(args.bits))))
     return 0
 
 
@@ -118,7 +129,7 @@ def _cmd_decode(args):
 
 def _cmd_gap(args):
     mu, nu = _parse(_source(args.mu)), _parse(_source(args.nu))
-    print(orthogonality.gap(mu, nu, args.depth))
+    print(_text(orthogonality.gap(mu, nu, args.depth)))
     return 0
 
 
@@ -187,7 +198,7 @@ def _cmd_refute_ac(args):
 
 def _cmd_ei_sum(args):
     x, y = (_parse(_source(arg), dsl.parse_pattern) for arg in (args.x, args.y))
-    print(kakutani.ei_partial_sum(x, y, args.N))
+    print(_text(kakutani.ei_partial_sum(x, y, args.N)))
     return 0
 
 

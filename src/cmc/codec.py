@@ -212,10 +212,11 @@ def density(g, s):
     vanishes)."""
     if not isinstance(g, CodedMeasure):
         raise TypeError("density is defined for encoded measures")
-    fs = g.base.mass(s)
-    if fs == 0:
+    c, d = g.base.mass(s).as_integer_ratio()
+    if not c:
         return ZERO
-    return g.mass(s) / fs
+    a, b = g.mass(s).as_integer_ratio()
+    return Fraction(a * d, b * c)
 
 
 @dataclass(frozen=True)

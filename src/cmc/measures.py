@@ -62,7 +62,7 @@ class MeasureCode:
         while m is None:
             k -= 1
             m = memo.get(s[:k]) if k > 0 else ONE
-        up = m.numerator
+        up, down = m.as_integer_ratio()
         if not up:
             return ZERO
         num = den = 1
@@ -76,7 +76,9 @@ class MeasureCode:
                 g = gcd(num, den)
                 num, den = num // g, den // g
                 bound = max(bound, 2 * den.bit_length())
-        return m * Fraction(num, den)  # reduced crosswise: no gcd of m with a long integer
+        if down.bit_length() > 256:  # a long ancestor: reduce crosswise, no gcd of two long products
+            return m * Fraction(num, den)
+        return Fraction(up * num, down * den)
 
     def product_below(self, s):
         """A schedule whose coordinates ``len(s)..`` give this code's law given
@@ -159,7 +161,12 @@ class Convex(MeasureCode):
         self.terms = tuple(terms)
 
     def _mass_raw(self, s):
-        return sum((w * child.mass(s) for w, child in self.terms), ZERO)
+        """Every term's mass, in order, summed as one integer pair."""
+        num, den = 0, 1
+        for w, child in self.terms:
+            (a, b), (c, d) = w.as_integer_ratio(), child.mass(s).as_integer_ratio()
+            num, den = num * b * d + a * c * den, den * b * d
+        return Fraction(num, den)
 
     def product_below(self, s):
         """The one schedule object every term with mass at ``s`` has below it."""
@@ -228,7 +235,10 @@ class TableCode(MeasureCode):
         for i in range(k + 1, d + 1):
             t, sib = s[:i], bits.sibling(s[:i])
             v = entries[t] if t in entries else v - entries[sib] if sib in entries else v / 2
-        return v / (1 << (len(s) - d)) if len(s) > d else v
+        if len(s) <= d:
+            return v
+        n, q = v.as_integer_ratio()
+        return Fraction(n, q << (len(s) - d))
 
     def product_below(self, s):
         return UNIFORM_SCHEDULE if len(s) >= self.depth else None
@@ -283,10 +293,10 @@ def validate_additivity(code, depth):
         return Violation("", root, ONE)
     for n in range(depth):
         for s in bits.all_strings_of_length(n):
-            lhs = code.mass(s)
-            rhs = code.mass(s + "0") + code.mass(s + "1")
-            if lhs != rhs:
-                return Violation(s, lhs, rhs)
+            lhs, left, right = code.mass(s), code.mass(s + "0"), code.mass(s + "1")
+            (a, b), (c, d), (e, f) = (m.as_integer_ratio() for m in (lhs, left, right))
+            if a * d * f != (c * f + e * d) * b:  # lhs != left + right, crosswise
+                return Violation(s, lhs, left + right)
     return "ok"
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +19,27 @@ def run(capsys, *argv):
 def test_eval(capsys):
     code, out = run(capsys, "eval", "uniform", "01")
     assert (code, out) == (0, "1/4\n")
+
+
+def test_eval_prints_answers_of_any_length(capsys):
+    # 2**-15000 has 4,516 decimal digits in its denominator, past Python's
+    # default limit on int-to-str conversion; the limit is back afterwards
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "eval", "uniform", "0" * 15000)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"1/{1 << 15000}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (0, want)
+
+
+def test_dsl_numerals_keep_the_digit_limit(capsys):
+    numeral = "1" + "0" * 4400
+    code, out = run(capsys, "eval", f"product(const(1/{numeral}))", "0")
+    assert code == 2 and out.startswith("error: invalid-argument\n")
+    assert "Exceeds the limit (4300 digits)" in out
 
 
 def test_encode_decode_round_trip(capsys):

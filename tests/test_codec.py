@@ -26,7 +26,7 @@ from cmc import (
 from cmc import codec
 from cmc.codec import CodedMeasure, Stabilized
 from cmc.bits import PeriodicBits, all_strings_of_length
-from cmc.measures import UNIFORM_SCHEDULE
+from cmc.measures import UNIFORM_SCHEDULE, MeasureCode, Violation
 from cmc.schedules import ConstantSchedule, ExplicitSchedule, Schedule, ks_schedule
 
 
@@ -436,3 +436,152 @@ def test_dead_spine_texts():
     f = FiniteSupport([("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))])
     with pytest.raises(BudgetExceeded, match="^no splitting node extending '000' within 2 levels$"):
         spine(f, 2, budget=2)
+
+
+# ---------------------------------------------------------------------------
+# Integer paths against their Fraction forms: additivity checks, mixtures and
+# densities combine masses as integer pairs; these are the forms they replace.
+
+
+def _fraction_validate_additivity(code, depth):
+    root = code.mass("")
+    if root != 1:
+        return Violation("", root, F(1))
+    for n in range(depth):
+        for s in all_strings_of_length(n):
+            lhs = code.mass(s)
+            rhs = code.mass(s + "0") + code.mass(s + "1")
+            if lhs != rhs:
+                return Violation(s, lhs, rhs)
+    return "ok"
+
+
+def _fraction_convex_mass(code, s):
+    return sum((w * child.mass(s) for w, child in code.terms), F(0))
+
+
+def _fraction_density(g, s):
+    fs = g.base.mass(s)
+    if fs == 0:
+        return F(0)
+    return g.mass(s) / fs
+
+
+def _integer_path_cases():
+    """Plain codes of each kind (tables non-additive or with negative derived
+    masses among them, mixtures with a zero-weight term) and coded codes over
+    each, by name."""
+    table = lambda: TableCode(3, {"0": F(1, 3), "00": F(1, 4), "10": F(1, 2), "101": F(1, 7)})
+    plain = {
+        "uniform": Uniform,
+        "const": lambda: ProductCode(ConstantSchedule(F(2, 7))),
+        "ks": lambda: ProductCode(ks_schedule(PeriodicBits("0", "1"))),
+        "table": table,
+        "random-table": lambda: _random_table(random.Random(5), 4),
+        "nonadd": lambda: TableCode(2, {"0": F(1, 3), "00": F(1, 2), "01": F(1, 2)}),
+        "nonadd-sparse": lambda: _sparse_table(random.Random(3), 4, False),
+        "negative": lambda: TableCode(2, {"0": F(1, 2), "00": F(3, 4)}),
+        "negative-deep": lambda: TableCode(3, {"1": F(1, 4), "10": F(1, 2), "101": F(1, 3)}),
+        "convex": _mixed_base,
+        "convex-zero": lambda: Convex(
+            [(F(1, 3), Uniform()), (F(0), ProductCode(ConstantSchedule(F(1, 5)))), (F(2, 3), table())]
+        ),
+        "convex-dirac": lambda: Convex([(F(1, 2), Dirac("01")), (F(1, 2), table())]),
+    }
+    cases = dict(plain)
+    for name, make in plain.items():
+        cases[f"coded-{name}"] = lambda make=make: encode(make(), "1011001110001011")
+    return cases
+
+
+INTEGER_PATH_CASES = _integer_path_cases()
+
+
+def _mass_calls(monkeypatch, fn):
+    """The outcome of ``fn()`` and the ``(code kind, string)`` of every
+    ``mass`` call it makes, in order."""
+    calls, mass = [], MeasureCode.mass
+
+    def record(self, s):
+        calls.append((type(self).__name__, s))
+        return mass(self, s)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(MeasureCode, "mass", record)
+        out = _outcome(fn)
+    return repr(out), calls
+
+
+@pytest.mark.parametrize("name", INTEGER_PATH_CASES)
+def test_validate_additivity_matches_fraction_form(monkeypatch, name):
+    make = INTEGER_PATH_CASES[name]
+    for depth in range(8):
+        got = _mass_calls(monkeypatch, lambda: validate_additivity(make(), depth))
+        want = _mass_calls(monkeypatch, lambda: _fraction_validate_additivity(make(), depth))
+        assert got == want, depth
+
+
+def test_validate_additivity_violations_field_for_field():
+    cases = {
+        "nonadd": (INTEGER_PATH_CASES["nonadd"], Violation("0", F(1, 3), F(1))),
+        "nonadd-sparse": (INTEGER_PATH_CASES["nonadd-sparse"], None),
+        # '01' is derived as 1/2 - 3/4; then its parent, then itself, fails
+        "negative-parent": (
+            lambda: TableCode(3, {"0": F(1, 2), "00": F(3, 4), "000": F(1, 2), "001": F(1, 2)}),
+            Violation("00", F(3, 4), F(1)),
+        ),
+        "negative-lhs": (
+            lambda: TableCode(3, {"0": F(1, 2), "00": F(3, 4), "010": F(1, 2), "011": F(1, 2)}),
+            Violation("01", F(-1, 4), F(1)),
+        ),
+    }
+    for name, (make, expected) in cases.items():
+        v, w = validate_additivity(make(), 5), _fraction_validate_additivity(make(), 5)
+        assert isinstance(v, Violation) and (v.s, v.lhs, v.rhs) == (w.s, w.lhs, w.rhs), name
+        assert all(type(x) is F for x in (v.lhs, v.rhs)), name
+        assert expected is None or v == expected, name
+
+
+@pytest.mark.parametrize("name", [n for n in INTEGER_PATH_CASES if "convex" in n])
+def test_convex_mass_matches_fraction_form(monkeypatch, name):
+    make = INTEGER_PATH_CASES[name]
+    strings = [s for n in range(7) for s in all_strings_of_length(n)]
+    strings += ["01" * 40, "0" * 100, "1" * 100]
+    for s in strings:
+        code, ref = make(), make()
+        mixtures = [c for c in (code, getattr(code, "base", None)) if isinstance(c, Convex)]
+        refs = [c for c in (ref, getattr(ref, "base", None)) if isinstance(c, Convex)]
+        got = _mass_calls(monkeypatch, lambda: mixtures[0]._mass_raw(s))
+        want = _mass_calls(monkeypatch, lambda: _fraction_convex_mass(refs[0], s))
+        assert got == want, s
+        assert type(mixtures[0]._mass_raw(s)) is F
+
+
+@pytest.mark.parametrize("name", [n for n in INTEGER_PATH_CASES if n.startswith("coded-")])
+def test_density_matches_fraction_form(monkeypatch, name):
+    make = INTEGER_PATH_CASES[name]
+    g, ref = make(), make()
+    for n in range(8):
+        for s in all_strings_of_length(n):
+            got = _mass_calls(monkeypatch, lambda: density(g, s))
+            want = _mass_calls(monkeypatch, lambda: _fraction_density(ref, s))
+            assert got == want, s
+
+
+def test_density_skips_the_coded_mass_where_the_base_vanishes():
+    # the coded code's own mass would run out of budget on the Dirac's spine
+    g = encode(Dirac("0"), "1", budget=4)
+    assert density(g, "0" * 10 + "1") == 0
+    with pytest.raises(BudgetExceeded):
+        g.mass("0" * 10)
+
+
+def test_zero_weight_term_raises_as_the_fraction_form():
+    def mixture():
+        return Convex([(F(1), Uniform()), (F(0), encode(Dirac("0"), "1", budget=4))])
+
+    text = "^no splitting node extending '' within 4 levels$"
+    with pytest.raises(BudgetExceeded, match=text):
+        mixture().mass("0" * 10)
+    with pytest.raises(BudgetExceeded, match=text):
+        _fraction_convex_mass(mixture(), "0" * 10)
