@@ -67,6 +67,8 @@ def _rational(text):
 def _text(value):
     """``str(value)`` with Python's limit on int-to-str digits lifted, so an
     exact answer of any length prints; parsing keeps the limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python before 3.10.7 has no limit
+        return str(value)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

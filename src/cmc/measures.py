@@ -76,8 +76,8 @@ class MeasureCode:
                 g = gcd(num, den)
                 num, den = num // g, den // g
                 bound = max(bound, 2 * den.bit_length())
-        if down.bit_length() > 256:  # a long ancestor: reduce crosswise, no gcd of two long products
-            return m * Fraction(num, den)
+        if down.bit_length() > 256:  # a long ancestor: one gcd of two long products
+            return m * Fraction(num, den)  # costs more than reducing crosswise
         return Fraction(up * num, down * den)
 
     def product_below(self, s):

@@ -121,6 +121,7 @@ def masses():
 def _more_spine_cases():
     table = lambda: TableCode(2, {"0": F(1, 3), "00": F(1, 4), "10": F(1, 2)})
     finite = lambda: FiniteSupport([("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))])
+    fifth = lambda: ProductCode(ConstantSchedule(F(1, 5)))
     return [
         ("uniform", Uniform),
         ("const", lambda: ProductCode(ConstantSchedule(F(1, 3)))),
@@ -131,12 +132,12 @@ def _more_spine_cases():
         ("coded-coded-table", lambda: encode(encode(table(), "0110"), "11")),
         (
             "coded-mix-coded",
-            lambda: encode(
-                Convex([(F(1, 2), encode(Uniform(), "10")), (F(1, 2), ProductCode(ConstantSchedule(F(1, 5))))]),
-                "101",
-            ),
+            lambda: encode(Convex([(F(1, 2), encode(Uniform(), "10")), (F(1, 2), fifth())]), "101"),
         ),
-        ("mix-zero-coded", lambda: Convex([(F(1), Uniform()), (F(0), encode(Dirac("0"), "1", budget=4))])),
+        (
+            "mix-zero-coded",
+            lambda: Convex([(F(1), Uniform()), (F(0), encode(Dirac("0"), "1", budget=4))]),
+        ),
     ]
 
 
@@ -156,8 +157,8 @@ def spines():
                 out.add(f"{label} decode coded {k}", lambda: decode(coded, k, budget))
             for n in range(4):
                 out.add(f"{label} spine {n}", lambda: spine(code, n, budget).nodes)
-            for depth in range(7):
-                out.add(f"{label} offspine {depth}", lambda: offspine_decomposition(code, depth, budget))
+            for d in range(7):
+                out.add(f"{label} offspine {d}", lambda: offspine_decomposition(code, d, budget))
             for k in range(4):
                 out.add(f"{label} decode {k}", lambda: decode(code, k, budget))
     return out
@@ -182,8 +183,8 @@ def classes():
 
 
 def main():
-    for name, group in (("gaps", gaps), ("masses", masses), ("spines", spines), ("classes", classes)):
-        print(group().line(name), flush=True)
+    for group in (gaps, masses, spines, classes):
+        print(group().line(group.__name__), flush=True)
 
 
 if __name__ == "__main__":

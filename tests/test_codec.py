@@ -484,7 +484,7 @@ def _integer_path_cases():
         "negative-deep": lambda: TableCode(3, {"1": F(1, 4), "10": F(1, 2), "101": F(1, 3)}),
         "convex": _mixed_base,
         "convex-zero": lambda: Convex(
-            [(F(1, 3), Uniform()), (F(0), ProductCode(ConstantSchedule(F(1, 5)))), (F(2, 3), table())]
+            [(F(1, 3), Uniform()), (F(0), _mixed_base()), (F(2, 3), table())]
         ),
         "convex-dirac": lambda: Convex([(F(1, 2), Dirac("01")), (F(1, 2), table())]),
     }
