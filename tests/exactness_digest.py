@@ -167,7 +167,7 @@ def spines():
 def classes():
     out = Digest()
     rng = random.Random(16)
-    cases = [(name, make) for name, make in INTEGER_PATH_CASES.items()]
+    cases = list(INTEGER_PATH_CASES.items())
     for i in range(len(_bases())):
         payload = "".join(rng.choice("01") for _ in range(16))
         cases.append((f"acceptance-{i}", lambda i=i: _bases()[i]))

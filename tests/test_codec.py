@@ -525,7 +525,8 @@ def test_validate_additivity_violations_field_for_field():
     cases = {
         "nonadd": (INTEGER_PATH_CASES["nonadd"], Violation("0", F(1, 3), F(1))),
         "nonadd-sparse": (INTEGER_PATH_CASES["nonadd-sparse"], None),
-        # '01' is derived as 1/2 - 3/4; then its parent, then itself, fails
+        # '01' is derived as 1/2 - 3/4 = -1/4: the first table fails at '00',
+        # the second at '01' itself, with a negative parent mass
         "negative-parent": (
             lambda: TableCode(3, {"0": F(1, 2), "00": F(3, 4), "000": F(1, 2), "001": F(1, 2)}),
             Violation("00", F(3, 4), F(1)),
@@ -547,14 +548,13 @@ def test_convex_mass_matches_fraction_form(monkeypatch, name):
     make = INTEGER_PATH_CASES[name]
     strings = [s for n in range(7) for s in all_strings_of_length(n)]
     strings += ["01" * 40, "0" * 100, "1" * 100]
+    mixture = lambda: make() if name.startswith("convex") else make().base
     for s in strings:
-        code, ref = make(), make()
-        mixtures = [c for c in (code, getattr(code, "base", None)) if isinstance(c, Convex)]
-        refs = [c for c in (ref, getattr(ref, "base", None)) if isinstance(c, Convex)]
-        got = _mass_calls(monkeypatch, lambda: mixtures[0]._mass_raw(s))
-        want = _mass_calls(monkeypatch, lambda: _fraction_convex_mass(refs[0], s))
+        code, ref = mixture(), mixture()
+        got = _mass_calls(monkeypatch, lambda: code._mass_raw(s))
+        want = _mass_calls(monkeypatch, lambda: _fraction_convex_mass(ref, s))
         assert got == want, s
-        assert type(mixtures[0]._mass_raw(s)) is F
+        assert type(code._mass_raw(s)) is F
 
 
 @pytest.mark.parametrize("name", [n for n in INTEGER_PATH_CASES if n.startswith("coded-")])
