@@ -14,12 +14,14 @@ collect this file; it imports its codes from the test modules and the
 - ``gaps``: ``_masses_above`` over every ordered pair of the 7 ``cell-walk``
   codes of seeds 1-5 and both orders of six golden pairs, d = 0..12.
 - ``masses``: cold and warm (shortlex-filled to level 6) masses of the
-  descent-test codes on 60 random strings up to length 64 and three
-  strings of length 600.
+  descent-test codes and of finite supports with an empty leaf, duplicate
+  leaves, nested leaves and a zero weight on 60 random strings up to
+  length 64 and three strings of length 600, and of the finite supports
+  also on strings along and just off their leaves' branches.
 - ``spines``: coded masses to level 6, ``spine``, ``decode``,
   ``offspine_decomposition``, ``density_limit`` and ``product_below`` on the
-  spine-test codes and mixtures and coded codes over coded codes, at
-  budgets 0, 1, 2, 3, 5, 8.
+  spine-test codes, mixtures, coded codes over coded codes and the finite
+  supports above, at budgets 0, 1, 2, 3, 5, 8.
 - ``classes``: ``validate_additivity`` to depths 0..8 and ``density`` at
   every string to level 8, on the integer-path test codes and on the
   acceptance test's bases encoded with 16-bit payloads.
@@ -69,6 +71,21 @@ GOLDEN_PAIRS = [
 ]
 
 
+FINITE_CASES = {
+    "finite-empty-leaf": lambda: FiniteSupport([("", F(1, 3)), ("1", F(2, 3))]),
+    "finite-duplicate": lambda: FiniteSupport([("01", F(1, 4)), ("1", F(1, 4)), ("01", F(1, 2))]),
+    "finite-nested": lambda: FiniteSupport([("0", F(1, 3)), ("00", F(1, 3)), ("", F(1, 3))]),
+    "finite-zero-weight": lambda: FiniteSupport([("1", F(0)), ("011", F(1, 2)), ("0", F(1, 2))]),
+}
+# along each leaf's all-zeros branch, and one bit off it
+LEAF_QUERIES = [
+    leaf + "0" * n + tail
+    for leaf in ("", "1", "01", "011")
+    for n in (0, 1, 2, 7, 2000)
+    for tail in ("", "1")
+]
+
+
 def _strings(level):
     return [s for n in range(level + 1) for s in all_strings_of_length(n)]
 
@@ -105,10 +122,11 @@ def gaps():
 
 def masses():
     out = Digest()
-    for name, make in DESCENT_CASES.items():
+    for name, make in {**DESCENT_CASES, **FINITE_CASES}.items():
         rng = random.Random(f"digest-{name}")
         queries = ["".join(rng.choice("01") for _ in range(rng.randrange(65))) for _ in range(60)]
         queries += ["0" * 600, "1" * 600, "01" * 300]
+        queries += LEAF_QUERIES if name in FINITE_CASES else []
         warm = make()
         for s in _strings(6):
             warm.mass(s)
@@ -138,6 +156,7 @@ def _more_spine_cases():
             "mix-zero-coded",
             lambda: Convex([(F(1), Uniform()), (F(0), encode(Dirac("0"), "1", budget=4))]),
         ),
+        *FINITE_CASES.items(),
     ]
 
 
