@@ -116,55 +116,34 @@ class Dirac(MeasureCode):
         prefix = self._prefix
         if len(s) > len(prefix):
             grown = range(len(prefix), max(len(s), 2 * len(prefix)))
-            prefix = self._prefix = prefix + "".join(map(str, map(self.branch.__getitem__, grown)))
+            grown = map("01".__getitem__, map(self.branch.__getitem__, grown))  # two cached strs
+            prefix = self._prefix = prefix + "".join(grown)
         return ONE if prefix.startswith(s) else ZERO
 
     def __repr__(self):
         return f"Dirac({self.branch!r})"
 
 
-class FiniteSupport(MeasureCode):
-    """Finitely many point masses; each leaf string carries its weight on the
-    branch obtained by extending the leaf with zeros."""
-
-    def __init__(self, pairs):
-        super().__init__()
-        pairs = [(check_bitstring(leaf), _check_unit(w, "weight")) for leaf, w in pairs]
-        if sum((w for _, w in pairs), ZERO) != 1:
-            raise SemanticError(
-                f"finite-support weights sum to {sum((w for _, w in pairs), ZERO)}, not 1"
-            )
-        self.pairs = tuple(sorted(pairs, key=lambda p: bits.shortlex_key(p[0])))
-
-    def _mass_raw(self, s):
-        total = ZERO
-        for leaf, w in self.pairs:
-            head, tail = s[: len(leaf)], s[len(leaf) :]
-            if leaf.startswith(head) and tail.strip("0") == "":
-                total += w
-        return total
-
-    def __repr__(self):
-        return f"FiniteSupport({list(self.pairs)})"
-
-
 class Convex(MeasureCode):
     """Convex combination of measure codes."""
+
+    _kind = "convex"
 
     def __init__(self, terms):
         super().__init__()
         terms = [(_check_unit(w, "weight"), child) for w, child in terms]
-        if sum((w for w, _ in terms), ZERO) != 1:
-            raise SemanticError(
-                f"convex weights sum to {sum((w for w, _ in terms), ZERO)}, not 1"
-            )
+        total = sum((w for w, _ in terms), ZERO)
+        if total != 1:
+            raise SemanticError(f"{self._kind} weights sum to {total}, not 1")
         self.terms = tuple(terms)
 
-    def _mass_raw(self, s):
-        """Every term's mass, in order, summed as one integer pair."""
+    def _mass_raw(self, s, mass=None):
+        """Every term's mass, by ``mass(term, s)`` when given, in order, summed
+        as one integer pair."""
         num, den = 0, 1
         for w, child in self.terms:
-            (a, b), (c, d) = w.as_integer_ratio(), child.mass(s).as_integer_ratio()
+            m = child.mass(s) if mass is None else mass(child, s)
+            (a, b), (c, d) = w.as_integer_ratio(), m.as_integer_ratio()
             num, den = num * b * d + a * c * den, den * b * d
         return Fraction(num, den)
 
@@ -175,6 +154,28 @@ class Convex(MeasureCode):
 
     def __repr__(self):
         return f"Convex({list(self.terms)})"
+
+
+class FiniteSupport(Convex):
+    """Finitely many point masses: a mixture of one ``Dirac`` per leaf string,
+    on the branch that extends the leaf with zeros.  ``pairs`` lists the
+    leaves and weights in shortlex order of the leaves."""
+
+    _kind = "finite-support"
+
+    def __init__(self, pairs):
+        super().__init__((w, Dirac(check_bitstring(leaf))) for leaf, w in pairs)
+        key = lambda term: bits.shortlex_key(term[1].branch.prefix_bits)  # the leaf
+        self.terms = tuple(sorted(self.terms, key=key))
+        self.pairs = tuple((point.branch.prefix_bits, w) for w, point in self.terms)
+
+    def _mass_raw(self, s):
+        # a point mass has no descent for a memo to start from, and the spine
+        # cursor would fill the terms' memos with one string per level
+        return super()._mass_raw(s, Dirac._mass_raw)
+
+    def __repr__(self):
+        return f"FiniteSupport({list(self.pairs)})"
 
 
 class ProductCode(MeasureCode):

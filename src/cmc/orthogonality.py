@@ -51,12 +51,9 @@ def _level_cells(code, d):
 
 
 def _masses_above(mu, nu, d):
-    """Exact (mu(A), nu(A)) for the level-d cell set A = {nu > mu}: one sweep
-    for products from the root, else a walk to cells of zero mass, at level d
-    or on the frontier, whose pieces two ``ExactSum``s add up."""
-    pa, pb = _probs(mu, "", d), _probs(nu, "", d)
-    if pa is not None and pb is not None:
-        return mim_masses(pa, pb, d)
+    """Exact (mu(A), nu(A)) for the level-d cell set A = {nu > mu}: a walk to
+    cells of zero mass, at level d or on the product frontier (the root, for
+    two products), whose pieces two ``ExactSum``s add up."""
     mu_a, nu_a = ExactSum(), ExactSum()
     stack = [""]
     while stack:

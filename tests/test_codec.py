@@ -263,8 +263,8 @@ def test_cold_query_memoizes_no_ancestors(name):
             g = DESCENT_CASES[name]()
             g.mass((pattern * n)[:n])
             base = getattr(g, "base", g)
-            # a mixture or a finite support as a base gets one cylinder per level
-            mixed = isinstance(base, (Convex, FiniteSupport))
+            # a mixture (a finite support too) as a base gets one cylinder per level
+            mixed = isinstance(base, Convex)
             sizes.append((len(g._memo), 0 if mixed else len(base._memo)))
         assert sizes[0] == sizes[1] and sizes[0][0] == 1, (pattern, sizes)
 
@@ -275,6 +275,15 @@ def test_decode_budget_leaves_the_memo_alone():
     with pytest.raises(BudgetExceeded, match="^no splitting node extending '000' within 2048 levels$"):
         decode(f, 3, budget=2048)
     assert len(f._memo) < 16
+
+
+def test_decode_budget_leaves_the_point_masses_alone():
+    # a finite support's cursor reads its point masses without their memos
+    f = FiniteSupport([("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))])
+    text = "^no splitting node extending '000' within 512 levels$"
+    with pytest.raises(BudgetExceeded, match=text):
+        decode(f, 3, budget=512)
+    assert [len(point._memo) for _, point in f.terms] == [0, 0, 0]
 
 
 def test_finite_payload_then_base():

@@ -66,10 +66,58 @@ def test_finite_support_masses():
 
 
 def test_finite_support_weight_check():
-    with pytest.raises(SemanticError):
+    # leaves and weights are checked pair by pair in input order, then the sum
+    with pytest.raises(SemanticError, match="^finite-support weights sum to 7/6, not 1$"):
         FiniteSupport([("0", F(2, 3)), ("1", F(1, 2))])
-    with pytest.raises(SemanticError):
+    with pytest.raises(SemanticError, match=r"^weight 3/2 outside \[0, 1\]$"):
         FiniteSupport([("0", F(3, 2))])
+    with pytest.raises(SemanticError, match=r"^weight 2 outside \[0, 1\]$"):
+        FiniteSupport([("1", 2), ("0", 3)])
+    with pytest.raises(SemanticError, match="^finite-support weights sum to 5/6, not 1$"):
+        FiniteSupport([("0", F(1, 2)), ("1", F(1, 3))])
+    with pytest.raises(SemanticError, match="^convex weights sum to 5/6, not 1$"):
+        Convex([(F(1, 2), Uniform()), (F(1, 3), Uniform())])
+    with pytest.raises(SemanticError, match=r"^weight 3/2 outside \[0, 1\]$"):
+        FiniteSupport([("0", F(3, 2)), ("2", F(1))])
+    with pytest.raises(ValueError, match="^not a bitstring: '2'$"):
+        FiniteSupport([("2", F(1)), ("0", F(3, 2))])
+    with pytest.raises(ValueError, match="^not a bitstring: 5$"):
+        FiniteSupport([(5, F(1))])
+
+
+def _leaf_rule_mass(pairs, s):
+    """Reference: the rule finite supports had before they were mixtures of
+    point masses.  A leaf's weight counts where ``s`` and the leaf agree on
+    their common part and ``s`` has only zeros past the leaf."""
+    total = F(0)
+    for leaf, w in pairs:
+        head, tail = s[: len(leaf)], s[len(leaf) :]
+        if leaf.startswith(head) and tail.strip("0") == "":
+            total += w
+    return total
+
+
+_LEAF_SHAPES = {
+    "empty-leaf": [("", F(1, 3)), ("1", F(2, 3))],
+    "duplicate": [("01", F(1, 4)), ("1", F(1, 4)), ("01", F(1, 2))],
+    "nested": [("00", F(1, 3)), ("0", F(1, 3)), ("1", F(1, 3))],
+    "zero-weight": [("1", F(0)), ("011", F(1, 2)), ("0", F(1, 2))],
+    "three": [("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))],
+}
+
+
+@pytest.mark.parametrize("name", _LEAF_SHAPES)
+def test_finite_support_matches_leaf_rule(name):
+    pairs = _LEAF_SHAPES[name]
+    f = FiniteSupport(pairs)
+    assert isinstance(f, Convex) and all(type(point) is Dirac for _, point in f.terms)
+    assert f.pairs == tuple(sorted(pairs, key=lambda p: (len(p[0]), p[0])))
+    strings = [s for n in range(9) for s in all_strings_of_length(n)]
+    strings += ["0" * 3000] + [leaf + "0" * 2000 + tail for leaf, _ in pairs for tail in ("", "1")]
+    for s in strings:
+        assert f.mass(s) == _leaf_rule_mass(pairs, s), s
+    for s in strings[-7:]:
+        assert FiniteSupport(pairs).mass(s) == _leaf_rule_mass(pairs, s), s  # cold
 
 
 def test_convex_eval():

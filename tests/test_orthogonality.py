@@ -73,6 +73,19 @@ def test_gap_symmetric_and_monotone():
         prev = g
 
 
+def test_gap_of_products_counts_the_root_mass():
+    # a depth-0 table is uniform below its root mass 1/2: its gap is the cell
+    # sum over its own masses, as for a deeper table with the same masses
+    # below the root
+    half, split = parse("table(0; =1/2)"), parse("table(1; 0=1/4, 1=1/4)")
+    third = parse("product(const(1/3))")
+    assert gap(half, third, 3) == F(227, 432)
+    for d in range(8):
+        for mu, nu in ((half, third), (third, half), (half, Uniform()), (Uniform(), half)):
+            assert gap(mu, nu, d) == _brute_gap(mu, nu, d), d
+    assert [gap(half, third, d) for d in range(1, 8)] == [gap(split, third, d) for d in range(1, 8)]
+
+
 def test_gap_zero_for_identical():
     assert gap(Uniform(), Uniform(), 10) == 0
 
