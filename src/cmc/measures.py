@@ -174,6 +174,8 @@ class FiniteSupport(Convex):
         # cursor would fill the terms' memos with one string per level
         return super()._mass_raw(s, Dirac._mass_raw)
 
+    product_below = MeasureCode.product_below  # None, asking no point mass its mass
+
     def __repr__(self):
         return f"FiniteSupport({list(self.pairs)})"
 

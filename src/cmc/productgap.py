@@ -6,24 +6,34 @@ all ``2**d`` cells, in one sweep.  Coordinates with equal bit-0 probabilities
 do not change any cell's likelihood ratio, so they sum out; the rest group by
 their probability pair, and a class of ``c`` coordinates enters only through
 its zero count, as ``c + 1`` cells with binomial weights.  The classes are
-split into two halves, each half's cells are enumerated as integer numerators
-over one common denominator, the smaller half is sorted by likelihood ratio
-with each run of exact ties merged into one cell, and each cell of the other
-half is matched by bisection against its suffix sums (meet in the middle).
+split into two halves.  Half 1, never the larger, is enumerated as integer
+numerators over one common denominator and sorted by likelihood ratio, each
+run of exact ties merged into one cell; only its float keys and the suffix
+sums of its numerators are kept, a cell being the difference of two suffix
+sums.  Half 2 is never stored: each of its cells is an outer-table cell times
+an inner-table cell, the inner table the first classes that reach ``2**10``
+cells (or all of half 2).  Each block, one outer cell times the inner table,
+is matched by bisection against half 1 (meet in the middle).
 
 Every ordering test compares float logarithms first and decides in exact
 integer arithmetic only inside a proven guard band.  For an int ``n >= 1``,
 ``math.log`` rounds ``n`` to a double, or to a 53-bit mantissa times ``2**e``
 when ``n`` overflows one, and adds ``e * log(2)``; with a libm ``log`` within
 one ulp its result is within ``2**-50 * (1 + B)`` of ``ln n`` when ``n`` has
-at most ``B`` bits.  Each float the sweep compares is two or four such logs
-combined by at most three rounded subtractions, so two compared floats are
-off from their exact difference by less than ``2**-47 * (1 + B)``, ``B`` the
-largest bit length involved.  The band is ``GUARD * (1 + B)``, ``2**17`` times
-that bound: floats further apart than the band are in exact order, and
-closer ones, exact ties among them, are settled by cross-multiplication.  So
-a float never decides which cells are in ``A``.  No cell numerator exceeds
-its denominator, so one sweep takes ``B`` from the larger denominator.
+at most ``B`` bits.  The sort compares half-1 keys ``log(nu) - log(mu)`` by
+their difference; the sweep compares a key with ``t -+ band``, computed as
+``(shift - outer key) - (inner key +- band)``, with two logs in each of
+``shift`` and the two factor keys.  So two compared floats combine at most
+eight logs by seven rounded operations on floats below ``3 * (1 + B)``, each
+adding at most ``2**-51 * (1 + B)``: they are off from their exact
+difference by less than ``2**-46 * (1 + B)``, ``B`` the largest bit length
+involved.  The band is ``GUARD * (1 + B)``: the ``2**17`` margin it had over
+``2**-47 * (1 + B)``, the bound when a half-2 key was one product's log,
+still leaves ``2**16``.  Floats further apart than the band are in exact
+order, and closer ones, exact ties among them, are settled by
+cross-multiplication.  So a float never decides which cells are in ``A``.
+No cell numerator exceeds its denominator, so one sweep takes ``B`` from the
+larger denominator.
 
 ``tv_upper_bound`` gives a sound rational upper bound on the depth-d gap for
 every depth at once, via the product of per-coordinate Bhattacharyya
@@ -35,12 +45,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
-from math import comb, isqrt, log, prod
+from math import comb, inf, isqrt, log, prod
 from operator import le, mul, sub
 
 from .dyadic import sqrt_bounds
 from .errors import BudgetExceeded
 
+# both halves are limited, though only half 1 is held, so the same depths answer
 MIM_MAX_CELLS = 1 << 22  # cells per half, as for 44 differing coordinates
 MIM_MAX_BITS = 1 << 33  # bits of cell numerators per half: enough for any ks pair at depth 44
 GUARD = 2.0**-30  # float comparisons defer to exact ones within GUARD * (1 + bits)
@@ -48,18 +59,18 @@ GUARD = 2.0**-30  # float comparisons defer to exact ones within GUARD * (1 + bi
 
 def _build_half(classes, seed=(1, 1)):
     """Cell numerators for a block of coordinate classes, times ``seed``, plus
-    the two common denominators.  A class ``((a, b), c)`` of ``c`` coordinates
-    gives one cell per zero count ``k``, weighted by ``comb(c, k)`` in both."""
+    the two common denominators.  A class ``((a, b), c)`` of ``c`` coordinates,
+    ``a`` and ``b`` integer ratios, gives one cell per zero count ``k``,
+    weighted by ``comb(c, k)`` in both."""
     (m0, mu_den), (n0, nu_den) = (x.as_integer_ratio() for x in seed)
     mu, nu = [m0], [n0]
-    for (a, b), c in classes:
-        a0, a1 = a.numerator, a.denominator - a.numerator
-        b0, b1 = b.numerator, b.denominator - b.numerator
+    for ((a0, ad), (b0, bd)), c in classes:
+        a1, b1 = ad - a0, bd - b0
         ks = range(c, -1, -1)
         mu = [x * w for w in [comb(c, k) * a0**k * a1 ** (c - k) for k in ks] for x in mu]
         nu = [x * w for w in [comb(c, k) * b0**k * b1 ** (c - k) for k in ks] for x in nu]
-        mu_den *= a.denominator**c
-        nu_den *= b.denominator**c
+        mu_den *= ad**c
+        nu_den *= bd**c
     return mu, nu, mu_den, nu_den
 
 
@@ -117,19 +128,16 @@ def mim_masses(aprobs, bprobs, d, seed=(1, 1)):
     grouped by their probability pair ``(a_n, b_n)``.  The probabilities may
     be iterators; they are read no further than the limits need.  Every cell
     carries the factor ``seed``, the masses of the cylinder ``N_s`` they follow."""
-    counts = {}  # (a, b) with a != b -> coordinates, in order of first appearance
+    counts = {}  # integer ratios (a, b), a != b -> coordinates, in order of first appearance
     total = 1  # cells of both halves together
-    for pair in islice(zip(aprobs, bprobs), d):
-        a, b = pair
+    for a, b in islice(zip(aprobs, bprobs), d):
+        a, b = a.as_integer_ratio(), b.as_integer_ratio()
         if a != b:
-            c = counts[pair] = counts.get(pair, 0) + 1
+            c = counts[a, b] = counts.get((a, b), 0) + 1
             total = total // c * (c + 1)
             # The larger half holds at least sqrt(total) cells, and the half
             # holding this class at least its c + 1 cells of c * bits bits.
-            if (
-                total > MIM_MAX_CELLS**2
-                or c * (c + 1) * (a.denominator * b.denominator).bit_length() > MIM_MAX_BITS
-            ):
+            if total > MIM_MAX_CELLS**2 or c * (c + 1) * (a[1] * b[1]).bit_length() > MIM_MAX_BITS:
                 break
     classes = list(counts.items())
     # half 1, whole classes in order up to sqrt(total) cells, is never the larger
@@ -138,39 +146,48 @@ def mim_masses(aprobs, bprobs, d, seed=(1, 1)):
     halves = classes[:half], classes[half:]
     for part in halves:
         cells = prod(c + 1 for _, c in part)
-        bits = sum(c * (a.denominator * b.denominator).bit_length() for (a, b), c in part)
+        bits = sum(c * (ad * bd).bit_length() for ((_, ad), (_, bd)), c in part)
         if cells > MIM_MAX_CELLS or cells * bits > MIM_MAX_BITS:
             raise BudgetExceeded(
                 f"depth {d} needs more than {MIM_MAX_CELLS} cells or {MIM_MAX_BITS} "
                 f"bits in one half of the product sweep"
             )
     mu1, nu1, mud1, nud1 = _build_half(halves[0], seed)
-    mu2, nu2, mud2, nud2 = _build_half(halves[1])
-    mu_den = mud1 * mud2
-    nu_den = nud1 * nud2
+    part = halves[1]  # streamed: the first classes to reach 2**10 cells times the rest
+    cut = min(1 + sum(s < 1 << 10 for s in accumulate((c + 1 for _, c in part), mul)), len(part))
+    mui, nui, mdi, ndi = _build_half(part[:cut])
+    muo, nuo, mdo, ndo = _build_half(part[cut:])
+    mu_den = mud1 * mdi * mdo
+    nu_den = nud1 * ndi * ndo
     band = GUARD * (1 + max(mu_den, nu_den).bit_length())
     shift = log(nu_den) - log(mu_den)
     nu1, mu1, key1 = _ratio_sort(nu1, mu1, band)
     suf_mu = list(accumulate(reversed(mu1), initial=0))[::-1]
+    del mu1
     suf_nu = list(accumulate(reversed(nu1), initial=0))[::-1]
+    del nu1  # a half-1 cell is now suf[m] - suf[m + 1]
+    key1.append(inf)  # key1[j] exists for every j that bisection returns
     # A cell is in A iff nu1*nu2/nu_den > mu1*mu2/mu_den, that is iff its
-    # half-1 key exceeds t = shift - (half-2 key).  So the half-1 partners in
-    # A of a half-2 cell are the sorted half 1 from j on: float bisection
-    # finds j unless a key lies within the band around t, and then exact
-    # bisection finds it among those keys.  Many half-2 cells share one j:
-    # they are summed per j, and each suffix sum is multiplied once.
-    mu_at, nu_at = [0] * len(suf_mu), [0] * len(suf_nu)
-    for n2, m2 in zip(nu2, mu2):
-        t = shift - (log(n2) - log(m2))
-        j = bisect_left(key1, t - band)
-        if j < len(key1) and key1[j] <= t + band:
-            hi = bisect_right(key1, t + band, j)
-            x, y = mu_den * n2, nu_den * m2
-            j = bisect_left(range(hi), True, j, key=lambda m: nu1[m] * x > mu1[m] * y)
-        mu_at[j] += m2
-        nu_at[j] += n2
-    mu_num = sum(map(mul, mu_at, suf_mu))
-    nu_num = sum(map(mul, nu_at, suf_nu))
+    # half-1 key exceeds t = shift - (outer key + inner key).  So its half-1
+    # partners in A are the sorted half 1 from j on: float bisection finds j
+    # unless a key lies within the band around t, and then exact bisection
+    # finds it among those keys.
+    key_i = list(map(sub, map(log, nui), map(log, mui)))
+    lo_i = list(map(band.__add__, key_i))  # t - band is base - lo_i
+    hi_i = list(map((-band).__add__, key_i))  # t + band is base - hi_i
+    mu_num = nu_num = 0
+    for no, mo in zip(nuo, muo):
+        base = shift - (log(no) - log(mo))
+        js = list(map(bisect_left, repeat(key1), map(base.__sub__, lo_i)))
+        near = bytes(map(le, map(key1.__getitem__, js), map(base.__sub__, hi_i)))
+        for i in compress(range(len(js)), near):
+            j = js[i]
+            hi = bisect_right(key1, base - hi_i[i], j)
+            x, y = mu_den * no * nui[i], nu_den * mo * mui[i]
+            above = lambda m: (suf_nu[m] - suf_nu[m + 1]) * x > (suf_mu[m] - suf_mu[m + 1]) * y
+            js[i] = bisect_left(range(hi), True, j, key=above)
+        mu_num += mo * sum(map(mul, mui, map(suf_mu.__getitem__, js)))
+        nu_num += no * sum(map(mul, nui, map(suf_nu.__getitem__, js)))
     return Fraction(mu_num, mu_den), Fraction(nu_num, nu_den)
 
 

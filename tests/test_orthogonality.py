@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate, count, repeat
 from math import comb
@@ -178,6 +179,17 @@ def test_frontier_walk_matches_level_walk():
     assert kinds == {F, type}  # both answers and budget exceptions occur
 
 
+def test_finite_support_gap_reads_no_point_masses():
+    # a finite support is never a product below a cell: the walk takes the
+    # mixture's own masses and asks its point masses nothing
+    pair = ("finite(00: 1/2, 101: 1/4, 11: 1/4)", "uniform")
+    for x, y in (pair, pair[::-1]):
+        mu, nu = parse(x), parse(y)
+        assert gap(mu, nu, 22) == F(4194301, 4194304)
+        support = mu if isinstance(mu, FiniteSupport) else nu
+        assert [point._memo for _, point in support.terms] == [{}] * 3
+
+
 class _Same(Schedule):
     """An equal schedule that is not the same object."""
 
@@ -315,9 +327,21 @@ def test_sweep_bisects_near_ties_inside_the_band(monkeypatch):
     products = []
 
     class Counted(int):
+        # sums and differences of sorted half-1 cells stay counted, so the
+        # exact comparisons, which read a cell as a suffix-sum difference,
+        # count each product they take; the sweep's sums multiply a plain
+        # int by a suffix sum and are not counted
         def __mul__(self, other):
             products.append(1)
             return int(self) * other
+
+        def __add__(self, other):
+            return Counted(int(self) + other)
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counted(int(self) - other)
 
     sort = productgap._ratio_sort
     half1 = []
@@ -333,7 +357,61 @@ def test_sweep_bisects_near_ties_inside_the_band(monkeypatch):
     n1 = half1[0]
     n2 = 21**3 // n1  # three classes of 20 coordinates
     assert (n1, n2) == (21, 441)
-    assert len(products) <= 2 * n2 * n1.bit_length()
+    assert 0 < len(products) <= 2 * n2 * n1.bit_length()
+
+
+def _power_of_two_pairs():
+    """Probability pairs ``(a, b)`` whose two cell ratios ``b / a`` and
+    ``(1 - b) / (1 - a)`` are ``2**i`` and ``2**-j`` (or the inverses, for
+    ``(b, a)``): distinct classes whose cells tie exactly across classes."""
+    out = []
+    for i in range(1, 5):
+        for j in range(1, 5):
+            a = (1 - F(1, 2**j)) / (2**i - F(1, 2**j))
+            out += [(a, 2**i * a), (2**i * a, a)]
+    return out
+
+
+def test_streamed_half_matches_exact_reference():
+    # 24 distinct classes: half 2 holds 2**12 cells, streamed in four blocks
+    # of an inner table of 2**10 cells; with power-of-two ratios, exact ties
+    # fall in different blocks, and on the thresholds
+    pairs = _power_of_two_pairs()
+    random.Random(7).shuffle(pairs)
+    assert len(set(pairs)) == 32
+    assert (F(1, 3), F(2, 3)) in pairs[:24] and (F(1, 5), F(4, 5)) in pairs[:24]
+    pa, pb = [a for a, _ in pairs[:24]], [b for _, b in pairs[:24]]
+    sa, sb = ks_schedule(PeriodicBits("01", "011")), ks_schedule(PeriodicBits("10", "100"))
+    ka, kb = [sa.alpha(n) for n in range(24)], [sb.alpha(n) for n in range(24)]
+    for xa, xb in ((pa, pb), (ka, kb)):
+        assert mim_masses(xa, xb, 24) == _exact_sweep(xa, xb, 24)
+        assert mim_masses(xb, xa, 24) == _exact_sweep(xb, xa, 24)
+
+
+def test_sweep_single_class_beyond_one_block():
+    # one class of 1,100 coordinates: half 1 is the seed alone and half 2 one
+    # inner table of 1,101 cells, as for const pairs
+    a, b, c = F(1, 3), F(2, 5), 1100
+    for m0, n0 in (F(1), F(1)), (F(1, 7), F(2, 9)):
+        want_mu = want_nu = F(0)
+        for k in range(c + 1):  # k zeros
+            m = m0 * comb(c, k) * a**k * (1 - a) ** (c - k)
+            n = n0 * comb(c, k) * b**k * (1 - b) ** (c - k)
+            if n > m:
+                want_mu, want_nu = want_mu + m, want_nu + n
+        assert mim_masses(repeat(a), repeat(b), c, (m0, n0)) == (want_mu, want_nu)
+
+
+def test_sweep_traced_peak_of_a_depth_28_gap():
+    # only half 1 (2**14 cells) is held; half 2 streams from two tables
+    a, b = parse("product(ks(01(101)*))"), parse("product(ks(10(010)*))")
+    tracemalloc.start()
+    try:
+        gap(a, b, 28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 def test_mim_many_exact_ties():
