@@ -59,9 +59,6 @@ class BitSequence:
     def __getitem__(self, n):
         raise NotImplementedError
 
-    def prefix(self, k):
-        return "".join(str(self[n]) for n in range(k))
-
     def flip(self, *positions):
         """This sequence with the given positions toggled."""
         return FlippedBits(self, frozenset(positions))

@@ -31,12 +31,6 @@ _CELL_LIMIT = 1 << 18  # largest certificate cell set materialized
 _PROBE_DEPTH = 12  # reported gap depth when a sweep is pre-filtered away
 
 
-def _probs(code, s, d):
-    """Probabilities of coordinates ``len(s)..d-1`` below ``N_s``, or None."""
-    sched = code.product_below(s)
-    return None if sched is None else map(sched.alpha, range(len(s), d))
-
-
 def _level_cells(code, d):
     """The level-``d`` cells of positive ``code``-mass, in lex order."""
     stack = [""]
@@ -116,9 +110,10 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
     """
     epsilon = _check_epsilon(epsilon)
     check_natural(max_depth, "max_depth")
-    pa, pb = _probs(mu, "", max_depth), _probs(nu, "", max_depth)
-    if pa is not None and pb is not None and max_depth > _ENUM_DEPTH:
-        bound = tv_upper_bound(pa, pb, max_depth)
+    sa, sb = mu.product_below(""), nu.product_below("")
+    if sa is not None and sb is not None and max_depth > _ENUM_DEPTH:
+        r = range(max_depth)
+        bound = tv_upper_bound(map(sa.alpha, r), map(sb.alpha, r), max_depth)
         if bound <= 1 - 2 * epsilon:
             probe = min(max_depth, _PROBE_DEPTH)
             mu_a, nu_a = _masses_above(mu, nu, probe)
