@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Every subcommand reads measure DSL from its argument (or from a file when the
-argument starts with ``@``) and writes one structured-text document to
-standard output: ``key: value`` lines, nested blocks indented by two spaces,
-keys in a fixed order.  Commands whose result is a single value (eval, gap,
-ei-sum, encode, decode, metric is two lines) print it bare so the output can
-be fed back into other commands.
+argument starts with ``@``), makes one library call and writes its result to
+standard output.  A result that is one exact value, a rational (eval, gap,
+ei-sum) or text (encode prints a measure, decode a payload), prints bare so
+it can be fed back into other commands.  Every other result is a document:
+``key: value`` lines, nested blocks indented by two spaces, keys in a fixed
+order.  Errors are documents too, with a machine-readable ``error:`` code
+line.
 
-Exit codes: 0 for a definite successful result, 1 when the underlying
-operation returns Inconclusive or Failure, 2 for errors of any kind (syntax,
-semantic, budget, domain).  Errors are themselves rendered as documents with
-a machine-readable ``error:`` code line.
+Exit codes: 1 exactly when the result is Inconclusive or a family build that
+stopped at a failure, 2 for errors of any kind (syntax, semantic, budget,
+domain), else 0.
 
 The environment variable ``CMC_DEFAULT_BUDGET`` overrides the default
 splitting-search budget (65536); an explicit ``--budget`` flag wins.
@@ -26,6 +27,7 @@ from fractions import Fraction
 from . import codec, dsl, kakutani, measures, orthogonality
 from .bits import check_bitstring
 from .errors import CmcError, Diagnostic, NotInCodingDomain
+from .kakutani import Inconclusive
 
 
 def _default_budget():
@@ -62,6 +64,92 @@ def _rational(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
+# argparse types of the numeric arguments; the others are text until read
+_TYPES = dict.fromkeys("k depth max_depth stages N budget precision count".split(), int)
+_TYPES["epsilon"] = _rational
+
+# The readers run inside main's ``try``, after parse_args: as an argparse
+# type, a DSL error would be a usage error instead of an ``error:`` document.
+_READERS = {
+    **dict.fromkeys(("measure", "mu", "nu", "f", "g"), lambda arg: _parse(_source(arg))),
+    **dict.fromkeys(("x", "y"), lambda arg: _parse(_source(arg), dsl.parse_pattern)),
+    **dict.fromkeys(("a", "b"), lambda arg: _parse(_source(arg), dsl.parse_schedule)),
+    "payload": lambda arg: _parse(arg, dsl.parse_payload),
+    "bits": check_bitstring,
+}
+
+# name, help, arguments (positional names, then ``--budget`` where it is an
+# option) and the library call, given the read arguments in that order.  A
+# row without a call is a group: the rows named "<group> <name>" below it.
+_COMMANDS = [
+    ("eval", "cylinder mass as an exact rational", "measure bits", measures.eval_cylinder),
+    (
+        "encode",
+        "stamp a payload into a measure's spine",
+        "measure payload --budget",
+        lambda base, payload, budget: dsl.print_measure(codec.encode(base, payload, budget)),
+    ),
+    ("decode", "read payload bits off a measure's spine", "measure k --budget", codec.decode),
+    ("gap", "depth-d total-variation gap", "mu nu depth", orthogonality.gap),
+    (
+        "certify",
+        "search for an orthogonality certificate",
+        "mu nu epsilon max_depth",
+        orthogonality.ortho_certificate,
+    ),
+    (
+        "modulus",
+        "continuity modulus or atom witness",
+        "mu epsilon max_depth",
+        orthogonality.continuity_modulus,
+    ),
+    (
+        "refute-ac",
+        "refute absolute continuity",
+        "mu nu epsilon stages max_depth",
+        orthogonality.refute_abs_continuity,
+    ),
+    ("ei-sum", "weighted difference partial sum", "x y N", kakutani.ei_partial_sum),
+    ("classify", "equivalent / orthogonal / inconclusive", "x y budget", kakutani.classify_pair),
+    (
+        "hellinger",
+        "Hellinger-style partial sum enclosure",
+        "a b N precision",
+        kakutani.hellinger_partial,
+    ),
+    ("metric", "code-metric bracket endpoints", "f g N", measures.metric_bracket),
+    ("family", "orthogonal family construction", "", None),
+    (
+        "family build",
+        "iterated family extension transcript",
+        "count epsilon max_depth",
+        orthogonality.build_family,
+    ),
+]
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="cmc",
+        description="Exact-rational measure codes on Cantor space.",
+    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, about, params, call in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=about)
+        if call is None:
+            groups[name] = p.add_subparsers(dest=f"{name}_command", required=True)
+            continue
+        names = params.split()
+        for param in names:
+            if param.startswith("--"):
+                p.add_argument(param, type=int, default=None, help="splitting-search budget")
+            else:
+                p.add_argument(param, type=_TYPES.get(param))
+        p.set_defaults(call=call, params=[param.lstrip("-") for param in names])
+    return parser
 
 
 def _text(value):
@@ -107,289 +195,94 @@ def _cert_items(cert):
     ]
 
 
-# ---------------------------------------------------------------------------
-# subcommand bodies; each returns the process exit code
-
-
-def _cmd_eval(args):
-    code = _parse(_source(args.measure))
-    print(_text(measures.eval_cylinder(code, check_bitstring(args.bits))))
-    return 0
-
-
-def _cmd_encode(args):
-    base = _parse(_source(args.measure))
-    coded = codec.encode(base, _parse(args.payload, dsl.parse_payload), args.budget)
-    print(dsl.print_measure(coded))
-    return 0
-
-
-def _cmd_decode(args):
-    print(codec.decode(_parse(_source(args.measure)), args.k, args.budget))
-    return 0
-
-
-def _cmd_gap(args):
-    mu, nu = _parse(_source(args.mu)), _parse(_source(args.nu))
-    print(_text(orthogonality.gap(mu, nu, args.depth)))
-    return 0
-
-
-def _cmd_certify(args):
-    result = orthogonality.ortho_certificate(
-        _parse(_source(args.mu)), _parse(_source(args.nu)), args.epsilon, args.max_depth
-    )
-    if isinstance(result, orthogonality.OrthoCertificate):
-        _emit([("result", "certificate")] + _cert_items(result))
-        return 0
-    _emit(
-        [
-            ("result", "inconclusive"),
-            ("best_gap", result.best_gap),
-            ("at_depth", result.at_depth),
-            ("detail", result.detail or "no certificate within the depth bound"),
+def _document(result):
+    """The ``key: value`` items of a result that does not print bare, or of
+    an error."""
+    if isinstance(result, Diagnostic):
+        return [
+            ("error", result.code),
+            ("line", result.line),
+            ("column", result.column),
+            ("expected", ", ".join(result.expected)),
+            ("message", result.message),
         ]
-    )
-    return 1
-
-
-def _cmd_modulus(args):
-    result = orthogonality.continuity_modulus(
-        _parse(_source(args.mu)), args.epsilon, args.max_depth
-    )
+    if isinstance(result, Exception):
+        items = [("error", result.code if isinstance(result, CmcError) else "invalid-argument")]
+        if isinstance(result, NotInCodingDomain):
+            items += [("index", result.index), ("node", result.node)]
+        return items + [("message", str(result))]
+    if isinstance(result, tuple):  # a metric bracket
+        lo, hi = result
+        return [("lo", lo), ("hi", hi)]
+    if isinstance(result, kakutani.HellingerReport):
+        lo, hi = result.sum_interval
+        return [("N", result.N), ("lo", lo), ("hi", hi), ("precision_bits", result.precision_bits)]
+    if isinstance(result, Inconclusive):
+        items = [("result", "inconclusive")]
+        if result.best_gap is not None:  # an orthogonality search: what it saw
+            items += [("best_gap", result.best_gap), ("at_depth", result.at_depth)]
+        return items + [("detail", result.detail or "no certificate within the depth bound")]
+    if isinstance(result, orthogonality.OrthoCertificate):
+        return [("result", "certificate")] + _cert_items(result)
     if isinstance(result, orthogonality.Modulus):
-        _emit([("result", "modulus"), ("n", result.n)])
-        return 0
+        return [("result", "modulus"), ("n", result.n)]
     if isinstance(result, orthogonality.AtomWitness):
-        _emit(
-            [
-                ("result", "atom-witness"),
-                ("prefix", result.prefix),
-                ("epsilon", result.epsilon),
-                ("mass", result.mass),
-            ]
-        )
-        return 0
-    _emit([("result", "inconclusive"), ("detail", result.detail)])
-    return 1
-
-
-def _cmd_refute_ac(args):
-    mu, nu = _parse(_source(args.mu)), _parse(_source(args.nu))
-    result = orthogonality.refute_abs_continuity(
-        mu, nu, args.epsilon, args.stages, args.max_depth
-    )
+        return [
+            ("result", "atom-witness"),
+            ("prefix", result.prefix),
+            ("epsilon", result.epsilon),
+            ("mass", result.mass),
+        ]
     if isinstance(result, orthogonality.RefutationWitness):
         items = [("result", "refutation"), ("epsilon", result.epsilon)]
         for index, (delta, family) in enumerate(result.stages, start=1):
-            items.append(
-                (
-                    "stage",
-                    [
-                        ("index", index),
-                        ("delta", delta),
-                        ("cells", _cells_text(family)),
-                    ],
-                )
-            )
-        _emit(items)
-        return 0
-    _emit([("result", "inconclusive"), ("detail", result.detail)])
-    return 1
-
-
-def _cmd_ei_sum(args):
-    x, y = (_parse(_source(arg), dsl.parse_pattern) for arg in (args.x, args.y))
-    print(_text(kakutani.ei_partial_sum(x, y, args.N)))
-    return 0
-
-
-def _cmd_classify(args):
-    x, y = (_parse(_source(arg), dsl.parse_pattern) for arg in (args.x, args.y))
-    result = kakutani.classify_pair(x, y, args.budget)
+            stage = [("index", index), ("delta", delta), ("cells", _cells_text(family))]
+            items.append(("stage", stage))
+        return items
     if isinstance(result, kakutani.EquivalentFiniteDifference):
-        _emit([("result", "equivalent"), ("last_diff", result.last_diff)])
-        return 0
+        return [("result", "equivalent"), ("last_diff", result.last_diff)]
     if isinstance(result, kakutani.OrthogonalEvidence):
         cert = result.cert
-        _emit(
-            [
-                ("result", "orthogonal"),
-                ("N", cert.N),
-                ("partial_sum", cert.partial_sum),
-                ("target", cert.target),
-            ]
-        )
-        return 0
-    _emit([("result", "inconclusive"), ("detail", result.detail)])
-    return 1
-
-
-def _cmd_hellinger(args):
-    a, b = (_parse(_source(arg), dsl.parse_schedule) for arg in (args.a, args.b))
-    report = kakutani.hellinger_partial(a, b, args.N, args.precision)
-    lo, hi = report.sum_interval
-    _emit(
-        [
-            ("N", report.N),
-            ("lo", lo),
-            ("hi", hi),
-            ("precision_bits", report.precision_bits),
+        return [
+            ("result", "orthogonal"),
+            ("N", cert.N),
+            ("partial_sum", cert.partial_sum),
+            ("target", cert.target),
         ]
-    )
-    return 0
-
-
-def _cmd_metric(args):
-    f, g = _parse(_source(args.f)), _parse(_source(args.g))
-    lo, hi = measures.metric_bracket(f, g, args.N)
-    _emit([("lo", lo), ("hi", hi)])
-    return 0
-
-
-def _cmd_family_build(args):
-    result = orthogonality.build_family(args.count, args.epsilon, args.max_depth)
+    # a family build
     items = [
         ("result", "family" if result.failure is None else "partial"),
         ("count", len(result.measures)),
     ]
     for index, code in enumerate(result.measures):
-        items.append(
-            (
-                "member",
-                [("index", index), ("parameter_word", code.schedule.x.word)],
-            )
-        )
+        items.append(("member", [("index", index), ("parameter_word", code.schedule.x.word)]))
     for cert in result.certificates:
         items.append(("certificate", _cert_items(cert)))
     if result.failure is not None:
         for candidate, best_gap, at_depth in result.failure.best_gaps:
-            items.append(
-                (
-                    "rejected",
-                    [
-                        ("parameter_word", getattr(candidate, "word", repr(candidate))),
-                        ("best_gap", best_gap),
-                        ("at_depth", at_depth),
-                    ],
-                )
-            )
-    _emit(items)
-    return 0 if result.failure is None else 1
-
-
-# ---------------------------------------------------------------------------
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cmc",
-        description="Exact-rational measure codes on Cantor space.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    budget_kw = dict(type=int, default=None, help="splitting-search budget")
-
-    p = cmd("eval", _cmd_eval, help="cylinder mass as an exact rational")
-    p.add_argument("measure")
-    p.add_argument("bits")
-
-    p = cmd("encode", _cmd_encode, help="stamp a payload into a measure's spine")
-    p.add_argument("measure")
-    p.add_argument("payload")
-    p.add_argument("--budget", **budget_kw)
-
-    p = cmd("decode", _cmd_decode, help="read payload bits off a measure's spine")
-    p.add_argument("measure")
-    p.add_argument("k", type=int)
-    p.add_argument("--budget", **budget_kw)
-
-    p = cmd("gap", _cmd_gap, help="depth-d total-variation gap")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("depth", type=int)
-
-    p = cmd("certify", _cmd_certify, help="search for an orthogonality certificate")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("epsilon", type=_rational)
-    p.add_argument("max_depth", type=int)
-
-    p = cmd("modulus", _cmd_modulus, help="continuity modulus or atom witness")
-    p.add_argument("mu")
-    p.add_argument("epsilon", type=_rational)
-    p.add_argument("max_depth", type=int)
-
-    p = cmd("refute-ac", _cmd_refute_ac, help="refute absolute continuity")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("epsilon", type=_rational)
-    p.add_argument("stages", type=int)
-    p.add_argument("max_depth", type=int)
-
-    p = cmd("ei-sum", _cmd_ei_sum, help="weighted difference partial sum")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("N", type=int)
-
-    p = cmd("classify", _cmd_classify, help="equivalent / orthogonal / inconclusive")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("budget", type=int)
-
-    p = cmd("hellinger", _cmd_hellinger, help="Hellinger-style partial sum enclosure")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("N", type=int)
-    p.add_argument("precision", type=int)
-
-    p = cmd("metric", _cmd_metric, help="code-metric bracket endpoints")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("N", type=int)
-
-    family = sub.add_parser("family", help="orthogonal family construction")
-    fsub = family.add_subparsers(dest="family_command", required=True)
-    p = fsub.add_parser("build", help="iterated family extension transcript")
-    p.set_defaults(fn=_cmd_family_build)
-    p.add_argument("count", type=int)
-    p.add_argument("epsilon", type=_rational)
-    p.add_argument("max_depth", type=int)
-
-    return parser
-
-
-def _error_document(err):
-    if isinstance(err, Diagnostic):
-        return [
-            ("error", err.code),
-            ("line", err.line),
-            ("column", err.column),
-            ("expected", ", ".join(err.expected)),
-            ("message", err.message),
-        ]
-    items = [("error", err.code if isinstance(err, CmcError) else "invalid-argument")]
-    if isinstance(err, NotInCodingDomain):
-        items += [("index", err.index), ("node", err.node)]
-    items.append(("message", str(err)))
+            word = getattr(candidate, "word", repr(candidate))
+            rejected = [("parameter_word", word), ("best_gap", best_gap), ("at_depth", at_depth)]
+            items.append(("rejected", rejected))
     return items
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if hasattr(args, "budget") and args.budget is None:
+        if "budget" in args.params and args.budget is None:
             args.budget = _default_budget()
-        return args.fn(args)
+        values = [_READERS.get(name, lambda v: v)(getattr(args, name)) for name in args.params]
+        result = args.call(*values)
     except (CmcError, ValueError, OverflowError) as err:
-        _emit(_error_document(err))
+        result = err
+    if isinstance(result, (str, Fraction)):
+        print(_text(result))
+    else:
+        _emit(_document(result))
+    if isinstance(result, Exception):
         return 2
+    failed = isinstance(result, orthogonality.FamilyBuildResult) and result.failure is not None
+    return 1 if isinstance(result, Inconclusive) or failed else 0
 
 
 if __name__ == "__main__":

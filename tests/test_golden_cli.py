@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from cmc.cli import main
+from cmc.cli import _COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
 
@@ -45,6 +45,13 @@ def _run(argv):
 def test_golden_cli(monkeypatch, argv, code, stdout):
     monkeypatch.delenv("CMC_DEFAULT_BUDGET", raising=False)
     assert _run(argv) == (code, stdout)
+
+
+def test_every_command_has_a_golden_case():
+    argvs = [argv for argv, _, _ in _cases()]
+    commands = [name.split() for name, _, _, call in _COMMANDS if call is not None]
+    assert ["family", "build"] in commands
+    assert [c for c in commands if not any(argv[: len(c)] == c for argv in argvs)] == []
 
 
 def _record():
