@@ -7,8 +7,11 @@ Run from the repository root as
 Each group hashes the ``repr`` of every result (``Fraction``, ``Violation``,
 tuple, string) or, where a call raises, the exception's type and text, each
 after a label naming the code and the query.  Two trees that print the same
-line for a group give the same exact results there.  Pytest does not
-collect this file; it imports its codes from the test modules and the
+line for a group give the same exact results there.  Each line is compared
+with the one recorded in ``EXPECTED``; the script exits 1 and names every
+group that differs, so this one command is the exactness gate.  A change
+that alters exact results on purpose records the new lines there.  Pytest
+does not collect this file; it imports its codes from the test modules and the
 ``cell-walk`` codes from ``perfbench/workloads.py``.
 
 - ``gaps``: ``_masses_above`` over every ordered pair of the 7 ``cell-walk``
@@ -25,6 +28,11 @@ collect this file; it imports its codes from the test modules and the
 - ``classes``: ``validate_additivity`` to depths 0..8 and ``density`` at
   every string to level 8, on the integer-path test codes and on the
   acceptance test's bases encoded with 16-bit payloads.
+- ``scans``: ``ortho_certificate`` at epsilon 1/20 and 1/4 and
+  ``refute_abs_continuity`` at epsilon 1/2 with 1 to 3 stages, over every
+  ordered pair of the 7 ``cell-walk`` codes of seeds 1-3 and both orders of
+  the golden pairs, and ``continuity_modulus`` at four epsilons on each of
+  those codes, all at max depths 0, 1, 2, 3, 5, 8 and 12.
 """
 
 import hashlib
@@ -45,12 +53,15 @@ from cmc import (  # noqa: E402
     ProductCode,
     TableCode,
     Uniform,
+    continuity_modulus,
     decode,
     density,
     density_limit,
     encode,
     offspine_decomposition,
+    ortho_certificate,
     parse,
+    refute_abs_continuity,
     spine,
     validate_additivity,
 )
@@ -106,15 +117,21 @@ class Digest:
         return f"{name}: {self.count} results, sha256 {self.sha.hexdigest()[:16]}"
 
 
-def gaps():
-    out = Digest()
+def _pairs(seeds):
+    """Every ordered pair of the ``cell-walk`` codes of the seeds, then both
+    orders of the golden pairs, each after its label."""
     pairs = []
-    for seed in range(1, 6):
+    for seed in seeds:
         codes = workloads.CellWalk(cmc, random.Random(seed)).codes
         pairs += [(f"{seed}:{x}/{y}", codes[x], codes[y]) for x in codes for y in codes]
     for a, b in GOLDEN_PAIRS:
         pairs += [(f"{a}/{b}", parse(a), parse(b)), (f"{b}/{a}", parse(b), parse(a))]
-    for label, mu, nu in pairs:
+    return pairs
+
+
+def gaps():
+    out = Digest()
+    for label, mu, nu in _pairs(range(1, 6)):
         for d in range(13):
             out.add(f"{label}@{d}", lambda: _masses_above(mu, nu, d))
     return out
@@ -201,10 +218,52 @@ def classes():
     return out
 
 
+SCAN_DEPTHS = (0, 1, 2, 3, 5, 8, 12)
+
+EXPECTED = {
+    "gaps": "gaps: 3341 results, sha256 31b9ee4659e3c19a",
+    "masses": "masses: 3470 results, sha256 1650459f70a1aa55",
+    "spines": "spines: 55926 results, sha256 8bbe82967f03e730",
+    "classes": "classes: 17457 results, sha256 3bf5be025e0f262f",
+    "scans": "scans: 6461 results, sha256 a390963562ab8ac5",
+}
+
+
+def scans():
+    out = Digest()
+    for label, mu, nu in _pairs(range(1, 4)):
+        for d in SCAN_DEPTHS:
+            for eps in (F(1, 20), F(1, 4)):
+                out.add(f"{label} certify {eps}@{d}", lambda: ortho_certificate(mu, nu, eps, d))
+            for n in (1, 2, 3):
+                out.add(
+                    f"{label} refute {n}@{d}", lambda: refute_abs_continuity(mu, nu, F(1, 2), n, d)
+                )
+    codes = [
+        (f"{seed}:{x}", code)
+        for seed in range(1, 4)
+        for x, code in workloads.CellWalk(cmc, random.Random(seed)).codes.items()
+    ]
+    codes += [(text, parse(text)) for text in dict.fromkeys(t for p in GOLDEN_PAIRS for t in p)]
+    for label, mu in codes:
+        for d in SCAN_DEPTHS:
+            for eps in (F(1, 64), F(1, 8), F(1, 4), F(3, 2)):
+                out.add(f"{label} modulus {eps}@{d}", lambda: continuity_modulus(mu, eps, d))
+    return out
+
+
 def main():
-    for group in (gaps, masses, spines, classes):
-        print(group().line(group.__name__), flush=True)
+    differ = []
+    for group in (gaps, masses, spines, classes, scans):
+        line = group().line(group.__name__)
+        print(line, flush=True)
+        if line != EXPECTED[group.__name__]:
+            differ.append(group.__name__)
+    if differ:
+        print(f"differs from the recorded digest: {', '.join(differ)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
