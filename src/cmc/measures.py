@@ -315,10 +315,10 @@ class CylinderFamily:
     def canonical(self):
         """Shortlex-sorted antichain with the same union: duplicates and
         strings nested inside shorter members are dropped."""
-        keep = []
+        keep = {}  # an ordered set: each string is probed with its proper prefixes
         for s in sorted(set(self.strings), key=bits.shortlex_key):
-            if not any(s.startswith(t) for t in keep):
-                keep.append(s)
+            if not any(s[:n] in keep for n in range(len(s))):
+                keep[s] = None
         return tuple(keep)
 
     def __iter__(self):
@@ -362,14 +362,10 @@ def metric_bracket(f, g, N):
 
 
 def _compositions(total, parts):
-    """All nonnegative integer vectors of the given length summing to
-    ``total``, in ascending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All ``parts``-vectors of naturals summing to ``total``, in ascending lex
+    order: stars and bars, whose bar positions in lex order give it."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + parts - 1)))
 
 
 def _dense_units():
@@ -380,11 +376,7 @@ def _dense_units():
             denom = diag - level
             leaves = bits.all_strings_of_length(level)
             for numerators in _compositions(denom, len(leaves)):
-                yield [
-                    (leaf, Fraction(c, denom))
-                    for leaf, c in zip(leaves, numerators)
-                    if c
-                ]
+                yield [(leaf, Fraction(c, denom)) for leaf, c in zip(leaves, numerators) if c]
 
 
 _dense_cache = []

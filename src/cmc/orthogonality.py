@@ -9,14 +9,15 @@ while absence of one never is.
 A gap walks down to the frontier cells where both codes are products
 (``MeasureCode.product_below``) and settles each with one seeded product
 sweep, or by its two masses where both share one schedule; without product
-structure it splits no cell below ``_GENERIC_DEPTH``.
+structure it splits no cell below ``_GENERIC_DEPTH``.  Certificate cells,
+moduli and refutation stages take their cells from one level walk, ``_levels``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice, tee
 
 from .bits import check_natural
 from .errors import BudgetExceeded
@@ -31,17 +32,15 @@ _CELL_LIMIT = 1 << 18  # largest certificate cell set materialized
 _PROBE_DEPTH = 12  # reported gap depth when a sweep is pre-filtered away
 
 
-def _level_cells(code, d):
-    """The level-``d`` cells of positive ``code``-mass, in lex order."""
-    stack = [""]
-    while stack:
-        s = stack.pop()
-        if code.mass(s) == 0:
-            continue
-        if len(s) == d:
-            yield s
-        else:
-            stack += (s + "1", s + "0")
+def _levels(code, keep):
+    """Levels 0, 1, 2, ... of the cells ``s`` with ``keep(code.mass(s))``, each
+    a lazy iterator in lex order over the kept children of the level before.
+    A level read only in part is finished when the next one is read."""
+    cells = ("",)
+    while True:
+        level, parents = tee(s for s in cells if keep(code.mass(s)))
+        yield level
+        cells = (t for s in parents for t in (s + "0", s + "1"))
 
 
 def _masses_above(mu, nu, d):
@@ -118,8 +117,7 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
             probe = min(max_depth, _PROBE_DEPTH)
             mu_a, nu_a = _masses_above(mu, nu, probe)
             return Inconclusive(nu_a - mu_a, probe, "affinity bound excludes a certificate")
-    best = ZERO
-    best_depth = 0
+    best, best_depth = ZERO, 0
     for d in range(1, max_depth + 1):
         mu_a, nu_a = _masses_above(mu, nu, d)
         if nu_a - mu_a >= best:
@@ -130,8 +128,8 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
                     f"certificate exists at depth {d} but its cell family "
                     f"is too large to materialize"
                 )
-            pairs = ((s, mu.mass(s), nu.mass(s)) for s in _level_cells(nu, d))
-            cells = [
+            pairs = ((s, mu.mass(s), nu.mass(s)) for s in next(islice(_levels(nu, bool), d, None)))
+            cells = [  # the level-d cells of positive nu-mass where nu > mu
                 s for s, m, v in pairs if v.numerator * m.denominator > m.numerator * v.denominator
             ]
             return OrthoCertificate(epsilon, d, CylinderFamily(cells), mu_a, nu_a)
@@ -164,13 +162,10 @@ def continuity_modulus(mu, epsilon, max_depth):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     check_natural(max_depth, "max_depth")
-    frontier = [""] if mu.mass("") >= epsilon else []
-    for n in range(max_depth + 1):
+    for n, level in enumerate(islice(_levels(mu, epsilon.__le__), max_depth + 1)):
+        frontier = list(level)
         if not frontier:
             return Modulus(n)
-        if n == max_depth:
-            break
-        frontier = [s + b for s in frontier for b in "01" if mu.mass(s + b) >= epsilon]
     for s in frontier:
         if mu.mass(s) > epsilon:
             return AtomWitness(s, epsilon, mu.mass(s))
@@ -196,27 +191,24 @@ def refute_abs_continuity(mu, nu, epsilon, stages, max_depth):
     if check_natural(stages, "stages") == 0:
         raise ValueError("stages must be at least 1")
     check_natural(max_depth, "max_depth")
+
+    def rank(s):  # cells of zero nu-mass first, then by decreasing mu/nu
+        v = nu.mass(s)
+        return (1, ZERO) if v == 0 else (2, -mu.mass(s) / v)
+
+    levels = islice(_levels(mu, bool), 1, None)  # cells of positive mu-mass
+    ranked = []  # levels 1, 2, ... in rank order, shared by every stage
     found = []
     for j in range(1, stages + 1):
         delta = Fraction(1, 1 << j)
-        stage = None
-        cells = [""]
-        for d in range(1, max_depth + 1):
-            # the level-d cells of positive mu-mass, in lex order, from level d-1
-            children = (t for s in cells for t in (s + "0", s + "1") if mu.mass(t) != 0)
-            cells = list(islice(children, _CELL_LIMIT + 1))
-            if len(cells) > _CELL_LIMIT:
-                break  # too many positive cells to sweep deeper
-            ranked = sorted(
-                cells,
-                key=lambda s: (
-                    (1, Fraction(0)) if nu.mass(s) == 0 else (2, -mu.mass(s) / nu.mass(s))
-                ),
-            )
-            taken = []
-            nu_total = ZERO
-            mu_total = ZERO
-            for s in ranked:
+        for d in range(max_depth):
+            if d == len(ranked):  # the first stage to reach a level walks and ranks it
+                cells = list(islice(next(levels), _CELL_LIMIT + 1))
+                if len(cells) > _CELL_LIMIT:
+                    break  # too many positive cells to sweep deeper
+                ranked.append(sorted(cells, key=rank))
+            taken, nu_total, mu_total = [], ZERO, ZERO
+            for s in ranked[d]:
                 v = nu.mass(s)
                 if nu_total + v < delta:
                     taken.append(s)
@@ -225,11 +217,10 @@ def refute_abs_continuity(mu, nu, epsilon, stages, max_depth):
                     if mu_total >= epsilon:
                         break
             if mu_total >= epsilon:
-                stage = (delta, CylinderFamily(taken))
+                found.append((delta, CylinderFamily(taken)))
                 break
-        if stage is None:
+        if len(found) < j:
             return Inconclusive(detail=f"stage delta=2**-{j} failed within depth {max_depth}")
-        found.append(stage)
     return RefutationWitness(epsilon, tuple(found))
 
 
@@ -254,14 +245,13 @@ def extend_family(family, candidates, epsilon, max_depth, recheck=True):
     _check_epsilon(epsilon)
     check_natural(max_depth, "max_depth")
     if recheck:
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                res = ortho_certificate(family[i], family[j], epsilon, max_depth)
-                if not isinstance(res, OrthoCertificate):
-                    raise ValueError(
-                        f"family members {i} and {j} are not certified "
-                        f"orthogonal at tolerance {epsilon}"
-                    )
+        for i, j in combinations(range(len(family)), 2):
+            res = ortho_certificate(family[i], family[j], epsilon, max_depth)
+            if not isinstance(res, OrthoCertificate):
+                raise ValueError(
+                    f"family members {i} and {j} are not certified "
+                    f"orthogonal at tolerance {epsilon}"
+                )
     best_gaps = []
     for idx, x in enumerate(candidates):
         cand = product_code(ks_schedule(x))
