@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,8 @@ from cmc import (
     parse,
     validate_additivity,
 )
-from cmc.bits import PeriodicBits, all_strings_of_length, shortlex_string
+from cmc import measures
+from cmc.bits import PeriodicBits, all_strings_of_length, shortlex_key, shortlex_string
 from cmc.measures import UNIFORM_SCHEDULE, ExactSum
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
@@ -206,6 +208,28 @@ def test_cylinder_family_canonical():
     assert fam.canonical() == ("0", "1")
 
 
+def _quadratic_canonical(strings):
+    """The canonical antichain by testing each string against every kept one."""
+    keep = []
+    for s in sorted(set(strings), key=shortlex_key):
+        if not any(s.startswith(t) for t in keep):
+            keep.append(s)
+    return tuple(keep)
+
+
+def test_cylinder_family_canonical_matches_quadratic_reference():
+    rng = random.Random(51)
+    for _ in range(300):
+        pool = ["".join(rng.choice("01") for _ in range(rng.randrange(9))) for _ in range(12)]
+        strings = [rng.choice(pool) for _ in range(rng.randrange(25))]  # duplicates
+        strings += [s + "".join(rng.choice("01") for _ in range(3)) for s in strings[:4]]  # nested
+        if rng.random() < 0.1:
+            strings.append("")
+        rng.shuffle(strings)
+        assert CylinderFamily(strings).canonical() == _quadratic_canonical(strings)
+    assert CylinderFamily(["01", "", "1"]).canonical() == ("",)
+
+
 def test_measure_of_family_order_and_overlap_invariant():
     u = Uniform()
     assert measure_of_family(u, ["0", "1"]) == 1
@@ -292,6 +316,33 @@ def test_enumerate_dense_first_members():
 
 def test_enumerate_dense_stable():
     assert enumerate_dense(3).pairs == enumerate_dense(3).pairs
+
+
+def _recursive_compositions(total, parts):
+    """The vectors of ``parts`` naturals summing to ``total``, in lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_recursive_reference():
+    for total in range(9):
+        for parts in range(1, 9):
+            got = list(measures._compositions(total, parts))
+            assert got == list(_recursive_compositions(total, parts))
+
+
+def test_dense_family_unchanged_by_compositions(monkeypatch):
+    # the first 3000 members, against the family built on the recursive form
+    got = list(islice(measures._dense_units(), 3000))
+    monkeypatch.setattr(measures, "_compositions", _recursive_compositions)
+    assert got == list(islice(measures._dense_units(), 3000))
+    assert [enumerate_dense(i).pairs for i in range(3000)] == [
+        FiniteSupport(pairs).pairs for pairs in got
+    ]
 
 
 def _random_code(rng):

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from math import comb
 
 import pytest
@@ -625,6 +625,54 @@ def test_refute_abs_continuity_scan_is_linear():
     # each depth extends the cells of the one before instead of walking
     # again from the root
     assert _refutation_mass_calls(200) <= 2.2 * _refutation_mass_calls(100)
+
+
+def _stage_mass_calls(stages):
+    class CountingUniform(Uniform):
+        calls = 0
+
+        def mass(self, s):
+            CountingUniform.calls += 1
+            return super().mass(s)
+
+    out = refute_abs_continuity(CountingUniform(), Dirac("0"), F(1, 2), stages, 12)
+    assert isinstance(out, RefutationWitness) and len(out.stages) == stages
+    return CountingUniform.calls
+
+
+def test_refute_abs_continuity_stages_share_levels():
+    # the root and level 1 are walked (3 calls) and level 1 ranked (1) once;
+    # each stage then packs it, reading the mass of the one cell it takes.
+    # Walking again from the root in every stage makes 4, 12 and 24 calls.
+    assert [_stage_mass_calls(n) for n in (1, 3, 6)] == [5, 7, 10]
+
+
+def test_refute_abs_continuity_refuses_a_level_part_built(monkeypatch):
+    # a level over the cell limit is read only up to one cell past the limit
+    monkeypatch.setattr(orthogonality, "_CELL_LIMIT", 8)
+    seen = []
+
+    class Recording(Uniform):
+        def mass(self, s):
+            seen.append(s)
+            return super().mass(s)
+
+    out = refute_abs_continuity(Recording(), Uniform(), F(3, 4), 1, 6)
+    assert out == Inconclusive(detail="stage delta=2**-1 failed within depth 6")
+    assert sum(len(s) == 4 for s in seen) == 9  # of 16 level-4 cells
+    assert max(map(len, seen)) == 4
+
+
+def test_levels_finish_a_level_read_in_part():
+    code = TableCode(2, {"0": F(1, 3), "00": F(1, 4), "10": F(1, 2)})
+    full = [list(level) for level in islice(orthogonality._levels(code, bool), 5)]
+    assert full[2] == [s for s in all_strings_of_length(2) if code.mass(s)]
+    levels = orthogonality._levels(code, bool)
+    for n in range(5):  # read one cell of each level
+        level = next(levels)
+        assert next(level) == full[n][0]
+    assert list(level) == full[4][1:]
+    assert list(next(islice(orthogonality._levels(code, bool), 4, None))) == full[4]
 
 
 def test_refute_abs_continuity_needs_a_stage():
