@@ -17,17 +17,20 @@ does not collect this file; it imports its codes from the test modules and the
 - ``gaps``: ``_masses_above`` over every ordered pair of the 7 ``cell-walk``
   codes of seeds 1-5 and both orders of six golden pairs, d = 0..12.
 - ``masses``: cold and warm (shortlex-filled to level 6) masses of the
-  descent-test codes and of finite supports with an empty leaf, duplicate
-  leaves, nested leaves and a zero weight on 60 random strings up to
-  length 64 and three strings of length 600, and of the finite supports
-  also on strings along and just off their leaves' branches.
+  descent-test codes, of finite supports with an empty leaf, duplicate
+  leaves, nested leaves and a zero weight, and of sparse and inconsistent
+  tables, ``uniform`` and ``table(0; = 1)``, on 60 random strings up to
+  length 64 and three strings of length 600; of the finite supports also on
+  strings along and just off their leaves' branches, and of the tables on
+  every string to level 5.
 - ``spines``: coded masses to level 6, ``spine``, ``decode``,
   ``offspine_decomposition``, ``density_limit`` and ``product_below`` on the
   spine-test codes, mixtures, coded codes over coded codes and the finite
   supports above, at budgets 0, 1, 2, 3, 5, 8.
 - ``classes``: ``validate_additivity`` to depths 0..8 and ``density`` at
-  every string to level 8, on the integer-path test codes and on the
-  acceptance test's bases encoded with 16-bit payloads.
+  every string to level 8, on the integer-path test codes, on the
+  acceptance test's bases encoded with 16-bit payloads, and on the tables
+  of ``masses`` and those of root mass 1 encoded with one 16-bit payload.
 - ``scans``: ``ortho_certificate`` at epsilon 1/20 and 1/4 and
   ``refute_abs_continuity`` at epsilon 1/2 with 1 to 3 stages, over every
   ordered pair of the 7 ``cell-walk`` codes of seeds 1-3 and both orders of
@@ -88,6 +91,25 @@ FINITE_CASES = {
     "finite-nested": lambda: FiniteSupport([("0", F(1, 3)), ("00", F(1, 3)), ("", F(1, 3))]),
     "finite-zero-weight": lambda: FiniteSupport([("1", F(0)), ("011", F(1, 2)), ("0", F(1, 2))]),
 }
+# sparse tables, inconsistent ones (children that do not add up to their
+# parent, negative derived masses, a root entry other than 1) and the empty
+# table, spelled both ways
+TABLE_CASES = {
+    "table-sparse": lambda: TableCode(8, {"0": F(1, 2)}),
+    "table-sparse-deep": lambda: TableCode(
+        12, {"110": F(1, 5), "0000000": F(1, 9), "0101": F(1, 3)}
+    ),
+    "table-nonadd": lambda: TableCode(
+        4, {"0": F(1, 3), "00": F(1, 2), "01": F(1, 2), "0110": F(1, 7)}
+    ),
+    "table-negative": lambda: TableCode(
+        5, {"0": F(1, 2), "00": F(3, 4), "001": F(1, 8), "1111": F(1, 3)}
+    ),
+    "table-root": lambda: TableCode(3, {"": F(1, 2), "1": F(3, 4), "011": F(1, 5)}),
+    "table-root-only": lambda: TableCode(6, {"": F(2, 3)}),
+    "dsl-uniform": lambda: parse("uniform"),
+    "dsl-empty-table": lambda: parse("table(0; = 1)"),
+}
 # along each leaf's all-zeros branch, and one bit off it
 LEAF_QUERIES = [
     leaf + "0" * n + tail
@@ -139,11 +161,12 @@ def gaps():
 
 def masses():
     out = Digest()
-    for name, make in {**DESCENT_CASES, **FINITE_CASES}.items():
+    for name, make in {**DESCENT_CASES, **FINITE_CASES, **TABLE_CASES}.items():
         rng = random.Random(f"digest-{name}")
         queries = ["".join(rng.choice("01") for _ in range(rng.randrange(65))) for _ in range(60)]
         queries += ["0" * 600, "1" * 600, "01" * 300]
         queries += LEAF_QUERIES if name in FINITE_CASES else []
+        queries += _strings(5) if name in TABLE_CASES else []
         warm = make()
         for s in _strings(6):
             warm.mass(s)
@@ -203,11 +226,15 @@ def spines():
 def classes():
     out = Digest()
     rng = random.Random(16)
-    cases = list(INTEGER_PATH_CASES.items())
+    cases = list(INTEGER_PATH_CASES.items()) + list(TABLE_CASES.items())
     for i in range(len(_bases())):
         payload = "".join(rng.choice("01") for _ in range(16))
         cases.append((f"acceptance-{i}", lambda i=i: _bases()[i]))
         cases.append((f"acceptance-{i}-{payload}", lambda i=i, p=payload: encode(_bases()[i], p)))
+    for name, make in TABLE_CASES.items():
+        if make().mass("") == 1:
+            payload = "".join(rng.choice("01") for _ in range(16))
+            cases.append((f"{name}-{payload}", lambda make=make, p=payload: encode(make(), p)))
     for name, make in cases:
         for depth in range(9):
             out.add(f"{name} validate {depth}", lambda: validate_additivity(make(), depth))
@@ -222,9 +249,9 @@ SCAN_DEPTHS = (0, 1, 2, 3, 5, 8, 12)
 
 EXPECTED = {
     "gaps": "gaps: 3341 results, sha256 31b9ee4659e3c19a",
-    "masses": "masses: 3470 results, sha256 1650459f70a1aa55",
+    "masses": "masses: 5486 results, sha256 fac7e459595087b6",
     "spines": "spines: 55926 results, sha256 8bbe82967f03e730",
-    "classes": "classes: 17457 results, sha256 3bf5be025e0f262f",
+    "classes": "classes: 20649 results, sha256 1aca7d038f5ca4b3",
     "scans": "scans: 6461 results, sha256 a390963562ab8ac5",
 }
 
