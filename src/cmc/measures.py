@@ -3,8 +3,11 @@
 A measure code is a map ``f`` from finite binary strings to ``[0,1]`` with
 ``f('') == 1`` and ``f(s) == f(s+'0') + f(s+'1')``; it determines a unique
 Borel probability measure with ``mu(N_s) == f(s)``.  All values are exact
-``Fraction``s.  Codes are immutable after construction; cylinder values are
-memoized per instance, which never changes results.
+``Fraction``s.  Codes are immutable after construction.  A table reads a
+cylinder off its named cells (``Uniform`` is the empty table), a point mass
+by a prefix test, a mixture from its terms, any other code by descent.
+Every code but a point mass memoizes its cylinders, which never changes
+results.
 
 ``product_below(s)`` names the schedule of a code's law conditioned on
 ``N_s`` where that law is a product by construction; gaps sweep there.
@@ -86,22 +89,6 @@ class MeasureCode:
         return None
 
 
-class Uniform(MeasureCode):
-    """The fair-coin measure: every length-n cylinder has mass 2**-n."""
-
-    def _mass_raw(self, s):
-        return Fraction(1, 1 << len(s))
-
-    def _split(self, s, i, positive):
-        return 1, 2
-
-    def product_below(self, s):
-        return UNIFORM_SCHEDULE
-
-    def __repr__(self):
-        return "Uniform()"
-
-
 class Dirac(MeasureCode):
     """Point mass on an infinite branch."""
 
@@ -111,6 +98,9 @@ class Dirac(MeasureCode):
             branch = bits.from_bits(branch)
         self.branch = branch
         self._prefix = ""  # the branch's first bits, grown on demand
+
+    def mass(self, s):
+        return self._mass_raw(check_bitstring(s))  # memoizes nothing
 
     def _mass_raw(self, s):
         prefix = self._prefix
@@ -137,12 +127,11 @@ class Convex(MeasureCode):
             raise SemanticError(f"{self._kind} weights sum to {total}, not 1")
         self.terms = tuple(terms)
 
-    def _mass_raw(self, s, mass=None):
-        """Every term's mass, by ``mass(term, s)`` when given, in order, summed
-        as one integer pair."""
+    def _mass_raw(self, s):
+        """Every term's mass, in order, summed as one integer pair."""
         num, den = 0, 1
         for w, child in self.terms:
-            m = child.mass(s) if mass is None else mass(child, s)
+            m = child.mass(s)
             (a, b), (c, d) = w.as_integer_ratio(), m.as_integer_ratio()
             num, den = num * b * d + a * c * den, den * b * d
         return Fraction(num, den)
@@ -168,13 +157,6 @@ class FiniteSupport(Convex):
         key = lambda term: bits.shortlex_key(term[1].branch.prefix_bits)  # the leaf
         self.terms = tuple(sorted(self.terms, key=key))
         self.pairs = tuple((point.branch.prefix_bits, w) for w, point in self.terms)
-
-    def _mass_raw(self, s):
-        # a point mass has no descent for a memo to start from, and the spine
-        # cursor would fill the terms' memos with one string per level
-        return super()._mass_raw(s, Dirac._mass_raw)
-
-    product_below = MeasureCode.product_below  # None, asking no point mass its mass
 
     def __repr__(self):
         return f"FiniteSupport({list(self.pairs)})"
@@ -208,8 +190,9 @@ def product_code(schedule):
 
 class TableCode(MeasureCode):
     """Explicit cylinder table down to a stored depth; below it, mass splits
-    uniformly.  Within the table, a missing entry is derived from its parent
-    and sibling where possible (otherwise the parent splits evenly).  The
+    uniformly.  Its named cells are each entry, its sibling and its prefixes;
+    one that is no entry is derived at construction as its parent less its
+    sibling's entry, or else half its parent, as is every other cell.  The
     table itself is trusted; ``validate_additivity`` is the checker."""
 
     def __init__(self, depth, entries):
@@ -223,31 +206,43 @@ class TableCode(MeasureCode):
             if len(key) > depth:
                 raise SemanticError(f"table entry {key!r} deeper than {depth}")
             self.entries[key] = _check_unit(value, f"table entry {key!r}")
+        entries = self.entries
+        named = {key[:i] for key in entries for i in range(1, len(key) + 1)}
+        cells = self._cells = {"": entries.get("", ONE)}
+        for t in sorted(named | {bits.sibling(key) for key in entries if key}, key=len):
+            v, sib = cells[t[:-1]], bits.sibling(t)
+            cells[t] = entries[t] if t in entries else v - entries[sib] if sib in entries else v / 2
 
     def _split(self, s, i, positive):
-        return (1, 2) if i > self.depth else None
+        return (1, 2) if i > self.depth or s[:i] not in self._cells else None
 
     def _mass_raw(self, s):
-        """The entry rule from the deepest memoized ancestor (or the root)
-        down to the table's depth, then an even split per level."""
-        memo, entries, d = self._memo, self.entries, min(len(s), self.depth)
-        k, v = d + 1, None
-        while v is None:
+        """The deepest named prefix's mass, halved once per level below it."""
+        cells, k = self._cells, min(len(s), self.depth)
+        while s[:k] not in cells:
             k -= 1
-            v = memo.get(s[:k]) if k > 0 else entries.get("", ONE)
-        for i in range(k + 1, d + 1):
-            t, sib = s[:i], bits.sibling(s[:i])
-            v = entries[t] if t in entries else v - entries[sib] if sib in entries else v / 2
-        if len(s) <= d:
+        v = cells[s[:k]]
+        if k == len(s):
             return v
         n, q = v.as_integer_ratio()
-        return Fraction(n, q << (len(s) - d))
+        return Fraction(n, q << (len(s) - k))
 
     def product_below(self, s):
         return UNIFORM_SCHEDULE if len(s) >= self.depth else None
 
     def __repr__(self):
         return f"TableCode({self.depth}, {self.entries})"
+
+
+class Uniform(TableCode):
+    """The fair-coin measure, the table with no entries: every length-n
+    cylinder has mass 2**-n."""
+
+    def __init__(self):
+        super().__init__(0, {})
+
+    def __repr__(self):
+        return "Uniform()"
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,24 @@ def test_decode_budget_leaves_the_point_masses_alone():
     assert [len(point._memo) for _, point in f.terms] == [0, 0, 0]
 
 
+def test_decode_leaves_a_mixtures_point_masses_alone():
+    # a user-written mixture's cursor reads its point masses by prefix tests
+    f = Convex([(F(1, 2), Dirac("0")), (F(1, 2), Dirac("1"))])
+    text = "^no splitting node extending '0' within 8192 levels$"
+    with pytest.raises(BudgetExceeded, match=text):
+        decode(f, 2, budget=8192)
+    assert [point._memo for _, point in f.terms] == [{}, {}]
+
+
+def test_coded_table_memoizes_only_named_cells():
+    # the named cells of table(8; 0=1/2) are '', '0' and '1'; a coded descent
+    # takes every other conditional ratio from the table's even split
+    for s in ("0" * 600, "1" * 600, "01" * 300):
+        g = encode(TableCode(8, {"0": F(1, 2)}), "1011")
+        assert g.mass(s) > 0
+        assert set(g.base._memo) <= {"", "0", "1"}, s
+
+
 def test_finite_payload_then_base():
     g = encode(Uniform(), "1")
     # only the root is stamped; '0' keeps uniform conditionals

@@ -23,7 +23,7 @@ from cmc import (
     validate_additivity,
 )
 from cmc import measures
-from cmc.bits import PeriodicBits, all_strings_of_length, shortlex_key, shortlex_string
+from cmc.bits import PeriodicBits, all_strings_of_length, shortlex_key, shortlex_string, sibling
 from cmc.measures import UNIFORM_SCHEDULE, ExactSum
 from cmc.schedules import ConstantSchedule, ExplicitSchedule
 
@@ -145,6 +145,65 @@ def test_table_masses():
     assert t.mass("000") == F(1, 12)  # uniform below the stored depth
     with pytest.raises(SemanticError):
         TableCode(1, {"00": F(1, 4)})
+
+
+def _entry_rule_mass(table, s):
+    """Reference: the table rule as it was read at query time, from the root.
+    Within the depth a cell takes its entry, else its parent's mass less its
+    sibling's entry, else half its parent's; below the depth it halves."""
+    entries, d = table.entries, min(len(s), table.depth)
+    v = entries.get("", F(1))
+    for i in range(1, d + 1):
+        t, sib = s[:i], sibling(s[:i])
+        v = entries[t] if t in entries else v - entries[sib] if sib in entries else v / 2
+    return v / 2 ** (len(s) - d)
+
+
+def _random_table(rng, kind):
+    """A ``sparse`` table (up to three entries anywhere), a ``nested`` one
+    (entries along one branch), one with a ``root`` entry other than 1, or an
+    ``inconsistent`` one (an entry above its parent's, so its sibling's
+    derived mass is negative)."""
+    depth = rng.randrange(2, 8)
+    word = lambda n: "".join(rng.choice("01") for _ in range(n))
+    if kind == "nested":
+        branch = word(depth)
+        keys = [branch[:n] for n in range(1, depth + 1) if rng.random() < 0.6]
+    else:
+        keys = [word(rng.randrange(1, depth + 1)) for _ in range(rng.randrange(4))]
+    entries = {key: F(rng.randrange(9), 8) for key in keys}
+    if kind == "root":
+        entries[""] = F(rng.randrange(8), 8)
+    if kind == "inconsistent":
+        t = word(rng.randrange(2, depth + 1))
+        entries[t[:-1]], entries[t] = F(1, 4), F(3, 4)
+        entries.pop(sibling(t), None)
+    return TableCode(depth, entries)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "nested", "root", "inconsistent", "edge"])
+def test_table_matches_entry_rule(kind):
+    rng = random.Random(kind)
+    if kind == "edge":
+        tables = [Uniform(), TableCode(0, {}), TableCode(0, {"": F(1, 2)})]
+        tables.append(TableCode(1, {"1": F(1, 3)}))
+    else:
+        tables = [_random_table(rng, kind) for _ in range(8)]
+    for table in tables:
+        strings = [s for n in range(table.depth + 4) for s in all_strings_of_length(n)]
+        strings.append("".join(rng.choice("01") for _ in range(600)))
+        want = [_entry_rule_mass(table, s) for s in strings]
+        assert kind != "inconsistent" or min(want) < 0
+        assert [TableCode(table.depth, table.entries).mass(s) for s in strings] == want  # cold
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            assert [table.mass(s) for s in strings] == want
+        # wherever the table gives a conditional ratio, it is the masses' ratio
+        long = strings[-1]
+        for s, i in [(s, len(s)) for s in strings[1:-1]] + [(long, i) for i in range(1, 601)]:
+            rule = table._split(s, i, True)
+            if rule is not None:
+                p, q = rule
+                assert _entry_rule_mass(table, s[:i]) * q == _entry_rule_mass(table, s[: i - 1]) * p
 
 
 def test_product_below_per_code_kind():

@@ -181,7 +181,7 @@ def test_frontier_walk_matches_level_walk():
 
 def test_finite_support_gap_reads_no_point_masses():
     # a finite support is never a product below a cell: the walk takes the
-    # mixture's own masses and asks its point masses nothing
+    # mixture's own masses, and its point masses memoize nothing
     pair = ("finite(00: 1/2, 101: 1/4, 11: 1/4)", "uniform")
     for x, y in (pair, pair[::-1]):
         mu, nu = parse(x), parse(y)
@@ -585,6 +585,20 @@ def test_continuity_modulus_atom():
     out = continuity_modulus(Dirac("10"), F(1, 2), 16)
     assert isinstance(out, AtomWitness)
     assert out.mass == 1 and out.prefix.startswith("10")
+
+
+def test_continuity_modulus_of_a_point_mass_keeps_no_memo():
+    # a point mass reads each cell by a prefix test; a memo of the 4,000
+    # cells on its branch would hold 8 MB of strings
+    point = Dirac("0")
+    tracemalloc.start()
+    try:
+        out = continuity_modulus(point, F(1, 2), 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == AtomWitness("0" * 4000, F(1, 2), F(1))
+    assert point._memo == {} and peak < 2**20
 
 
 def test_refute_abs_continuity_dirac_vs_uniform():
