@@ -18,3 +18,11 @@ def sqrt_bounds(q, bits):
     if lo * lo == q:
         return lo, lo
     return lo, lo + Fraction(1, 1 << bits)
+
+
+def affinity_bounds(a, b, bits):
+    """Dyadic ``(lo, hi)`` around the affinity ``sqrt(a*b) + sqrt((1-a)*(1-b))``
+    of two coins, each root enclosed by ``sqrt_bounds`` to ``bits`` bits."""
+    l1, h1 = sqrt_bounds(a * b, bits)
+    l2, h2 = sqrt_bounds((1 - a) * (1 - b), bits)
+    return l1 + l2, h1 + h2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import BitSequence, check_natural, difference_summary
-from .dyadic import sqrt_bounds
+from .dyadic import affinity_bounds
 
 
 def ei_partial_sum(x, y, N):
@@ -110,14 +110,11 @@ def hellinger_partial(a, b, N, precision_bits):
     if precision_bits < 1:
         raise ValueError("precision_bits must be at least 1")
     bits = precision_bits + 1
-    lo = Fraction(0)
-    hi = Fraction(0)
+    lo = hi = Fraction(0)
     for n in range(N):
-        an, bn = a.alpha(n), b.alpha(n)
-        l1, h1 = sqrt_bounds(an * bn, bits)
-        l2, h2 = sqrt_bounds((1 - an) * (1 - bn), bits)
-        lo += 1 - (h1 + h2)
-        hi += 1 - (l1 + l2)
+        bc_lo, bc_hi = affinity_bounds(a.alpha(n), b.alpha(n), bits)
+        lo += 1 - bc_hi
+        hi += 1 - bc_lo
     return HellingerReport(N, (lo, hi), precision_bits)
 
 

@@ -48,7 +48,7 @@ from itertools import accumulate, compress, islice, repeat
 from math import comb, inf, isqrt, log, prod
 from operator import le, mul, sub
 
-from .dyadic import sqrt_bounds
+from .dyadic import affinity_bounds, sqrt_bounds
 from .errors import BudgetExceeded
 
 # both halves are limited, though only half 1 is held, so the same depths answer
@@ -197,9 +197,7 @@ def tv_upper_bound(aprobs, bprobs, d):
     bits = 48  # precision of each square-root bound
     bc_lo = Fraction(1)
     for a, b in islice(zip(aprobs, bprobs), d):
-        l1, _ = sqrt_bounds(a * b, bits)
-        l2, _ = sqrt_bounds((1 - a) * (1 - b), bits)
-        bc_lo *= l1 + l2
+        bc_lo *= affinity_bounds(a, b, bits)[0]
         if bc_lo <= 0:
             return Fraction(1)
     if bc_lo >= 1:
