@@ -110,7 +110,8 @@ def hellinger_partial(a, b, N, precision_bits):
     if precision_bits < 1:
         raise ValueError("precision_bits must be at least 1")
     bits = precision_bits + 1
-    lo = hi = Fraction(0)
+    lo = Fraction(0)
+    hi = Fraction(0)
     for n in range(N):
         bc_lo, bc_hi = affinity_bounds(a.alpha(n), b.alpha(n), bits)
         lo += 1 - bc_hi

@@ -4,10 +4,8 @@ A measure code is a map ``f`` from finite binary strings to ``[0,1]`` with
 ``f('') == 1`` and ``f(s) == f(s+'0') + f(s+'1')``; it determines a unique
 Borel probability measure with ``mu(N_s) == f(s)``.  All values are exact
 ``Fraction``s.  Codes are immutable after construction.  A table reads a
-cylinder off its named cells (``Uniform`` is the empty table), a point mass
-by a prefix test, a mixture from its terms, any other code by descent.
-Every code but a point mass memoizes its cylinders, which never changes
-results.
+cylinder off its named cells, a point mass by a prefix test; every code but
+a point mass memoizes its cylinders, which never changes results.
 
 ``product_below(s)`` names the schedule of a code's law conditioned on
 ``N_s`` where that law is a product by construction; gaps sweep there.
@@ -235,8 +233,7 @@ class TableCode(MeasureCode):
 
 
 class Uniform(TableCode):
-    """The fair-coin measure, the table with no entries: every length-n
-    cylinder has mass 2**-n."""
+    """The fair-coin measure: the table with no entries."""
 
     def __init__(self):
         super().__init__(0, {})
