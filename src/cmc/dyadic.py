@@ -15,9 +15,9 @@ def sqrt_bounds(q, bits):
     # floor(2**bits * sqrt(a/b)) == floor(floor(sqrt(a*b*4**bits)) / b)
     d = isqrt((a * b) << (2 * bits)) // b
     lo = Fraction(d, 1 << bits)
-    if lo * lo == q:
+    if d * d * b == a << (2 * bits):  # lo * lo == q
         return lo, lo
-    return lo, lo + Fraction(1, 1 << bits)
+    return lo, Fraction(d + 1, 1 << bits)
 
 
 def affinity_bounds(a, b, bits):
