@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import check_natural
+from .bits import BitSequence, check_bitstring, check_natural
 from .errors import BudgetExceeded, NotInCodingDomain, ZeroMass
 from .measures import MeasureCode, ZERO
 
@@ -116,8 +116,8 @@ class CodedMeasure(MeasureCode):
         if budget <= 0:
             raise ValueError("budget must be positive")
         self.base = base
-        if isinstance(payload, str):
-            payload = tuple(int(b) for b in payload)
+        if not isinstance(payload, (tuple, BitSequence)):
+            payload = tuple(map(int, check_bitstring(payload)))
         self.payload = payload
         self.budget = budget
         # declared payload bits, when finite (used by the serializer); a finite
@@ -149,7 +149,7 @@ class CodedMeasure(MeasureCode):
                 pass
         rule = base._split(s, i, positive)
         if rule is None:
-            (a, b), (c, d) = base.mass(s[:i]).as_integer_ratio(), base.mass(u).as_integer_ratio()
+            (a, b), (c, d) = base._read(s[:i]).as_integer_ratio(), base._read(u).as_integer_ratio()
             rule = (a * d, b * c) if c > 0 else (-a * d, -b * c)
         return rule
 
@@ -171,7 +171,7 @@ class CodedMeasure(MeasureCode):
 def encode(base, payload, budget=DEFAULT_BUDGET):
     """Stamp ``payload`` into ``base``'s spine; lazy, fails with
     BudgetExceeded on evaluation if the base stops splitting."""
-    if base.mass("") != 1:
+    if base._read("") != 1:
         raise ZeroMass("base is not normalized: f('') != 1")
     return CodedMeasure(base, payload, budget)
 
@@ -187,7 +187,7 @@ def decode(g, k, budget=DEFAULT_BUDGET):
     cache.extend(check_natural(budget, "budget"), count=k)
     out = []
     for n, node in enumerate(cache.nodes[:k]):
-        gm, c0, c1 = g.mass(node), g.mass(node + "0"), g.mass(node + "1")
+        gm, c0, c1 = g._read(node), g._read(node + "0"), g._read(node + "1")
         if 3 * c0 == 2 * gm and 3 * c1 == gm:
             out.append("1")
         elif 3 * c0 == gm and 3 * c1 == 2 * gm:
@@ -212,10 +212,10 @@ def density(g, s):
     vanishes)."""
     if not isinstance(g, CodedMeasure):
         raise TypeError("density is defined for encoded measures")
-    c, d = g.base.mass(s).as_integer_ratio()
+    c, d = g.base._read(check_bitstring(s)).as_integer_ratio()
     if not c:
         return ZERO
-    a, b = g.mass(s).as_integer_ratio()
+    a, b = g._read(s).as_integer_ratio()
     return Fraction(a * d, b * c)
 
 
@@ -241,7 +241,7 @@ def density_limit(g, prefix):
     if not isinstance(g, CodedMeasure):
         raise TypeError("density_limit is defined for encoded measures")
     cache = _spine_cache(g.base)
-    cache.extend(g.budget, length=len(prefix))
+    cache.extend(g.budget, length=len(check_bitstring(prefix)))
     if cache.nodes[-1][: len(prefix)] == prefix:
         return NOT_YET_STABLE
     return Stabilized(density(g, prefix))

@@ -5,7 +5,9 @@ A measure code is a map ``f`` from finite binary strings to ``[0,1]`` with
 Borel probability measure with ``mu(N_s) == f(s)``.  All values are exact
 ``Fraction``s.  Codes are immutable after construction.  A table reads a
 cylinder off its named cells, a point mass by a prefix test; every code but
-a point mass memoizes its cylinders, which never changes results.
+a point mass memoizes its cylinders, which never changes results.  A string
+is checked once, where it enters: ``mass(s)`` checks ``s`` on a memo miss,
+while strings the library builds from checked ones are read by ``_read``.
 
 ``product_below(s)`` names the schedule of a code's law conditioned on
 ``N_s`` where that law is a product by construction; gaps sweep there.
@@ -46,8 +48,12 @@ class MeasureCode:
 
     def mass(self, s):
         v = self._memo.get(s)
+        return self._read(check_bitstring(s)) if v is None else v
+
+    def _read(self, s):
+        """``mass(s)``, unchecked: for strings built from checked ones."""
+        v = self._memo.get(s)
         if v is None:
-            check_bitstring(s)
             v = self._memo[s] = self._mass_raw(s)
         return v
 
@@ -97,9 +103,6 @@ class Dirac(MeasureCode):
         self.branch = branch
         self._prefix = ""  # the branch's first bits, grown on demand
 
-    def mass(self, s):
-        return self._mass_raw(check_bitstring(s))  # memoizes nothing
-
     def _mass_raw(self, s):
         prefix = self._prefix
         if len(s) > len(prefix):
@@ -107,6 +110,8 @@ class Dirac(MeasureCode):
             grown = map("01".__getitem__, map(self.branch.__getitem__, grown))  # two cached strs
             prefix = self._prefix = prefix + "".join(grown)
         return ONE if prefix.startswith(s) else ZERO
+
+    _read = _mass_raw  # memoizes nothing
 
     def __repr__(self):
         return f"Dirac({self.branch!r})"
@@ -129,14 +134,14 @@ class Convex(MeasureCode):
         """Every term's mass, in order, summed as one integer pair."""
         num, den = 0, 1
         for w, child in self.terms:
-            m = child.mass(s)
+            m = child._read(s)
             (a, b), (c, d) = w.as_integer_ratio(), m.as_integer_ratio()
             num, den = num * b * d + a * c * den, den * b * d
         return Fraction(num, den)
 
     def product_below(self, s):
         """The one schedule object every term with mass at ``s`` has below it."""
-        found = [c.product_below(s) for w, c in self.terms if w and c.mass(s)]
+        found = [c.product_below(s) for w, c in self.terms if w and c._read(s)]
         return found[0] if found and all(x is found[0] for x in found) else None
 
     def __repr__(self):
@@ -283,12 +288,12 @@ def validate_additivity(code, depth):
     Returns ``"ok"`` or the first :class:`Violation` in shortlex order.
     """
     check_natural(depth, "depth")
-    root = code.mass("")
+    root = code._read("")
     if root != 1:
         return Violation("", root, ONE)
     for n in range(depth):
         for s in bits.all_strings_of_length(n):
-            lhs, left, right = code.mass(s), code.mass(s + "0"), code.mass(s + "1")
+            lhs, left, right = code._read(s), code._read(s + "0"), code._read(s + "1")
             (a, b), (c, d), (e, f) = (m.as_integer_ratio() for m in (lhs, left, right))
             if a * d * f != (c * f + e * d) * b:  # lhs != left + right, crosswise
                 return Violation(s, lhs, left + right)
@@ -326,7 +331,7 @@ def measure_of_family(code, family):
         family = CylinderFamily(family)
     total = ExactSum()
     for s in family.canonical():
-        total.add(*code.mass(s).as_integer_ratio())
+        total.add(*code._read(s).as_integer_ratio())
     return total.value()
 
 
@@ -343,7 +348,7 @@ def metric_bracket(f, g, N):
     total = ExactSum()
     for n in range(N):
         s = shortlex_string(n)
-        (an, ad), (bn, bd) = f.mass(s).as_integer_ratio(), g.mass(s).as_integer_ratio()
+        (an, ad), (bn, bd) = f._read(s).as_integer_ratio(), g._read(s).as_integer_ratio()
         total.add(abs(an * bd - bn * ad) << (N - 1 - n), ad * bd)
     lo = total.value() / (1 << N)
     return lo, lo + Fraction(1, 1 << N)

@@ -33,12 +33,13 @@ _PROBE_DEPTH = 12  # reported gap depth when a sweep is pre-filtered away
 
 
 def _levels(code, keep):
-    """Levels 0, 1, 2, ... of the cells ``s`` with ``keep(code.mass(s))``, each
+    """Levels 0, 1, 2, ... of the cells ``s`` with ``keep(code._read(s))``, each
     a lazy iterator in lex order over the kept children of the level before.
-    A level read only in part is finished when the next one is read."""
+    Cells grow from the root, so they are read unchecked.  A level read only
+    in part is finished when the next one is read."""
     cells = ("",)
     while True:
-        level, parents = tee(s for s in cells if keep(code.mass(s)))
+        level, parents = tee(s for s in cells if keep(code._read(s)))
         yield level
         cells = (t for s in parents for t in (s + "0", s + "1"))
 
@@ -51,7 +52,7 @@ def _masses_above(mu, nu, d):
     stack = [""]
     while stack:
         s = stack.pop()
-        m, v = mu.mass(s), nu.mass(s)
+        m, v = mu._read(s), nu._read(s)
         if not v:
             continue
         # below a cell of zero mu-mass all the nu-mass lies in A
@@ -128,7 +129,8 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
                     f"certificate exists at depth {d} but its cell family "
                     f"is too large to materialize"
                 )
-            pairs = ((s, mu.mass(s), nu.mass(s)) for s in next(islice(_levels(nu, bool), d, None)))
+            level = next(islice(_levels(nu, bool), d, None))
+            pairs = ((s, mu._read(s), nu._read(s)) for s in level)
             cells = [  # the level-d cells of positive nu-mass where nu > mu
                 s for s, m, v in pairs if v.numerator * m.denominator > m.numerator * v.denominator
             ]
@@ -167,8 +169,8 @@ def continuity_modulus(mu, epsilon, max_depth):
         if not frontier:
             return Modulus(n)
     for s in frontier:
-        if mu.mass(s) > epsilon:
-            return AtomWitness(s, epsilon, mu.mass(s))
+        if mu._read(s) > epsilon:
+            return AtomWitness(s, epsilon, mu._read(s))
     return Inconclusive(detail="mass exactly epsilon at the horizon")
 
 
@@ -193,8 +195,8 @@ def refute_abs_continuity(mu, nu, epsilon, stages, max_depth):
     check_natural(max_depth, "max_depth")
 
     def rank(s):  # cells of zero nu-mass first, then by decreasing mu/nu
-        v = nu.mass(s)
-        return (1, ZERO) if v == 0 else (2, -mu.mass(s) / v)
+        v = nu._read(s)
+        return (1, ZERO) if v == 0 else (2, -mu._read(s) / v)
 
     levels = islice(_levels(mu, bool), 1, None)  # cells of positive mu-mass
     ranked = []  # levels 1, 2, ... in rank order, shared by every stage
@@ -209,11 +211,11 @@ def refute_abs_continuity(mu, nu, epsilon, stages, max_depth):
                 ranked.append(sorted(cells, key=rank))
             taken, nu_total, mu_total = [], ZERO, ZERO
             for s in ranked[d]:
-                v = nu.mass(s)
+                v = nu._read(s)
                 if nu_total + v < delta:
                     taken.append(s)
                     nu_total += v
-                    mu_total += mu.mass(s)
+                    mu_total += mu._read(s)
                     if mu_total >= epsilon:
                         break
             if mu_total >= epsilon:

@@ -18,12 +18,14 @@ from cmc import (
     density,
     density_limit,
     encode,
+    eval_cylinder,
     in_coding_domain,
+    measure_of_family,
     offspine_decomposition,
     spine,
     validate_additivity,
 )
-from cmc import codec
+from cmc import codec, measures, parse
 from cmc.codec import CodedMeasure, Stabilized
 from cmc.bits import PeriodicBits, all_strings_of_length
 from cmc.measures import UNIFORM_SCHEDULE, MeasureCode, Violation
@@ -471,27 +473,27 @@ def test_dead_spine_texts():
 
 
 def _fraction_validate_additivity(code, depth):
-    root = code.mass("")
+    root = code._read("")
     if root != 1:
         return Violation("", root, F(1))
     for n in range(depth):
         for s in all_strings_of_length(n):
-            lhs = code.mass(s)
-            rhs = code.mass(s + "0") + code.mass(s + "1")
+            lhs = code._read(s)
+            rhs = code._read(s + "0") + code._read(s + "1")
             if lhs != rhs:
                 return Violation(s, lhs, rhs)
     return "ok"
 
 
 def _fraction_convex_mass(code, s):
-    return sum((w * child.mass(s) for w, child in code.terms), F(0))
+    return sum((w * child._read(s) for w, child in code.terms), F(0))
 
 
 def _fraction_density(g, s):
-    fs = g.base.mass(s)
+    fs = g.base._read(s)
     if fs == 0:
         return F(0)
-    return g.mass(s) / fs
+    return g._read(s) / fs
 
 
 def _integer_path_cases():
@@ -526,15 +528,19 @@ INTEGER_PATH_CASES = _integer_path_cases()
 
 def _mass_calls(monkeypatch, fn):
     """The outcome of ``fn()`` and the ``(code kind, string)`` of every
-    ``mass`` call it makes, in order."""
-    calls, mass = [], MeasureCode.mass
+    cylinder read (``_read``, a point mass's too) it makes, in order."""
+    calls = []
 
-    def record(self, s):
-        calls.append((type(self).__name__, s))
-        return mass(self, s)
+    def recorder(read):
+        def record(self, s):
+            calls.append((type(self).__name__, s))
+            return read(self, s)
+
+        return record
 
     with monkeypatch.context() as mp:
-        mp.setattr(MeasureCode, "mass", record)
+        for cls in (MeasureCode, Dirac):
+            mp.setattr(cls, "_read", recorder(cls._read))
         out = _outcome(fn)
     return repr(out), calls
 
@@ -612,3 +618,66 @@ def test_zero_weight_term_raises_as_the_fraction_form():
         mixture().mass("0" * 10)
     with pytest.raises(BudgetExceeded, match=text):
         _fraction_convex_mass(mixture(), "0" * 10)
+
+
+# ---------------------------------------------------------------------------
+# Where a string is checked: once, where it enters the library
+
+
+def _warm(code):
+    """``code`` after public reads of every string of length up to 2."""
+    for n in range(3):
+        for s in all_strings_of_length(n):
+            code.mass(s)
+    return code
+
+
+def _string_entry_points():
+    kinds = {
+        "uniform": Uniform,
+        "table": lambda: TableCode(2, {"0": F(1, 3), "01": F(1, 4)}),
+        "product": lambda: ProductCode(ConstantSchedule(F(1, 3))),
+        "dirac": lambda: Dirac("01"),
+        "finite": lambda: FiniteSupport([("0", F(1, 2)), ("11", F(1, 2))]),
+        "convex": lambda: Convex([(F(1, 2), Uniform()), (F(1, 2), Dirac("1"))]),
+        "coded": lambda: encode(Uniform(), "10"),
+    }
+    entries = {}
+    for kind, make in kinds.items():
+        entries[f"mass-{kind}-cold"] = lambda s, make=make: make().mass(s)
+        entries[f"mass-{kind}-warm"] = lambda s, make=make: _warm(make()).mass(s)
+    entries["eval_cylinder"] = lambda s: eval_cylinder(Uniform(), s)
+    entries["density"] = lambda s: density(encode(Uniform(), "10"), s)
+    entries["density_limit"] = lambda s: density_limit(encode(Uniform(), "10"), s)
+    entries["encode-payload"] = lambda s: encode(Uniform(), s)
+    entries["measure_of_family"] = lambda s: measure_of_family(Uniform(), ["0", s])
+    return entries
+
+
+STRING_ENTRY_POINTS = _string_entry_points()
+
+
+@pytest.mark.parametrize("bad", ["2", "0a", 5, None], ids=repr)
+@pytest.mark.parametrize("name", STRING_ENTRY_POINTS)
+def test_public_entry_points_reject_a_non_bitstring(name, bad):
+    with pytest.raises(ValueError) as err:
+        STRING_ENTRY_POINTS[name](bad)
+    assert str(err.value) == f"not a bitstring: {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "text", ["finite(000: 1/2, 001: 1/4, 1: 1/4)", "convex(1/2: dirac(0), 1/2: dirac(1))"]
+)
+def test_decode_checks_no_string(monkeypatch, text):
+    # the spine cursor and the ratio reads build their strings from checked
+    # ones; a check per read would scan strings up to the budget long
+    def checks(budget):
+        calls = []
+        g = parse(text)
+        with monkeypatch.context() as mp:
+            mp.setattr(measures, "check_bitstring", lambda s: calls.append(s) or s)
+            with pytest.raises(BudgetExceeded):
+                decode(g, 3, budget)
+        return len(calls)
+
+    assert checks(512) == checks(2048) == 0

@@ -626,9 +626,9 @@ def _refutation_mass_calls(max_depth):
     class CountingDirac(Dirac):
         calls = 0
 
-        def mass(self, s):
+        def _read(self, s):
             CountingDirac.calls += 1
-            return super().mass(s)
+            return super()._read(s)
 
     out = refute_abs_continuity(CountingDirac("0"), CountingDirac("0"), F(1, 2), 1, max_depth)
     assert isinstance(out, Inconclusive)
@@ -645,9 +645,9 @@ def _stage_mass_calls(stages):
     class CountingUniform(Uniform):
         calls = 0
 
-        def mass(self, s):
+        def _read(self, s):
             CountingUniform.calls += 1
-            return super().mass(s)
+            return super()._read(s)
 
     out = refute_abs_continuity(CountingUniform(), Dirac("0"), F(1, 2), stages, 12)
     assert isinstance(out, RefutationWitness) and len(out.stages) == stages
@@ -667,9 +667,9 @@ def test_refute_abs_continuity_refuses_a_level_part_built(monkeypatch):
     seen = []
 
     class Recording(Uniform):
-        def mass(self, s):
+        def _read(self, s):
             seen.append(s)
-            return super().mass(s)
+            return super()._read(s)
 
     out = refute_abs_continuity(Recording(), Uniform(), F(3, 4), 1, 6)
     assert out == Inconclusive(detail="stage delta=2**-1 failed within depth 6")
