@@ -12,11 +12,10 @@ one cursor down the leftmost branch of positive mass (``_SpineCache``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import BitSequence, check_bitstring, check_natural
-from .errors import BudgetExceeded, NotInCodingDomain, ZeroMass
+from .errors import BudgetExceeded, NotInCodingDomain, Record, ZeroMass
 from .measures import MeasureCode, ZERO
 
 DEFAULT_BUDGET = 65536
@@ -83,8 +82,7 @@ def _spine_cache(code):
     return code._spine
 
 
-@dataclass(frozen=True)
-class SplittingSpine:
+class SplittingSpine(Record):
     """Nodes ``t_0 .. t_n`` of a measure's splitting spine."""
 
     nodes: tuple
@@ -116,7 +114,9 @@ class CodedMeasure(MeasureCode):
         if budget <= 0:
             raise ValueError("budget must be positive")
         self.base = base
-        if not isinstance(payload, (tuple, BitSequence)):
+        if isinstance(payload, tuple) and all(b in (0, 1) for b in payload):
+            payload = tuple(map(int, payload))
+        elif not isinstance(payload, BitSequence):  # any other tuple fails the check
             payload = tuple(map(int, check_bitstring(payload)))
         self.payload = payload
         self.budget = budget
@@ -219,8 +219,7 @@ def density(g, s):
     return Fraction(a * d, b * c)
 
 
-@dataclass(frozen=True)
-class Stabilized:
+class Stabilized(Record):
     theta: Fraction
 
 

@@ -1,4 +1,43 @@
-"""Shared exception types."""
+"""Shared exception types, and ``Record``, the base class of the result types.
+
+A result (a certificate, a witness, ``Inconclusive``) is an immutable record
+with its annotated names, in order, as fields and class-level defaults.  It
+is built positionally or by keyword, compared (within its class), hashed and
+printed by its fields, and round-trips through ``pickle`` and ``copy``.  It is
+not a dataclass: ``dataclasses.asdict`` and ``replace`` do not apply.
+"""
+
+
+class Record:
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields, given = self._fields, {**self._defaults, **kwargs}
+        rest = fields[len(args):]
+        if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= given.keys():
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        self.__dict__.update(zip(fields, args), **{f: given[f] for f in rest})
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class CmcError(Exception):

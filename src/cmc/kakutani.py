@@ -9,11 +9,11 @@ a finite stage; equivalence is only ever asserted from declared metadata
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import BitSequence, check_natural, difference_summary
 from .dyadic import affinity_bounds
+from .errors import Record
 
 
 def ei_partial_sum(x, y, N):
@@ -24,8 +24,7 @@ def ei_partial_sum(x, y, N):
     )
 
 
-@dataclass(frozen=True)
-class DivergenceCertificate:
+class DivergenceCertificate(Record):
     """Least stage at which the difference series reached the target."""
 
     N: int
@@ -33,8 +32,7 @@ class DivergenceCertificate:
     target: Fraction
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     """Budget ran out before a decision; carries what was seen: the best gap
     and its depth for orthogonality searches, else only a detail line."""
 
@@ -59,16 +57,14 @@ def ei_divergence_certificate(x, y, target, budget):
     return Inconclusive(detail=f"partial sum {total} < {target} at N={budget}")
 
 
-@dataclass(frozen=True)
-class EquivalentFiniteDifference:
+class EquivalentFiniteDifference(Record):
     """The parameters differ in finitely many positions (so the product
     measures are equivalent); ``last_diff`` is the largest one."""
 
     last_diff: int
 
 
-@dataclass(frozen=True)
-class OrthogonalEvidence:
+class OrthogonalEvidence(Record):
     cert: DivergenceCertificate
 
 
@@ -92,8 +88,7 @@ def classify_pair(x, y, budget, target=DEFAULT_DIVERGENCE_TARGET):
 # Hellinger-style partial sums
 
 
-@dataclass(frozen=True)
-class HellingerReport:
+class HellingerReport(Record):
     N: int
     sum_interval: tuple
     precision_bits: int

@@ -16,13 +16,12 @@ while strings the library builds from checked ones are read by ``_read``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import bits
 from .bits import check_bitstring, check_natural, shortlex_string
-from .errors import SemanticError
+from .errors import Record, SemanticError
 from .schedules import ConstantSchedule, Schedule
 
 ZERO = Fraction(0)
@@ -47,7 +46,10 @@ class MeasureCode:
         self._spine = None  # the codec's lazily grown splitting spine
 
     def mass(self, s):
-        v = self._memo.get(s)
+        try:
+            v = self._memo.get(s)
+        except TypeError:  # unhashable, so a miss that the check refuses
+            v = None
         return self._read(check_bitstring(s)) if v is None else v
 
     def _read(self, s):
@@ -268,8 +270,7 @@ def eval_cylinder(code, s):
     return code.mass(s)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """First additivity (or normalization) failure, in shortlex order.
 
     For a normalization failure ``s`` is the empty string with ``lhs`` the
@@ -300,8 +301,7 @@ def validate_additivity(code, depth):
     return "ok"
 
 
-@dataclass(frozen=True)
-class CylinderFamily:
+class CylinderFamily(Record):
     """A finite union of cylinders, given by any list of index strings."""
 
     strings: tuple

@@ -15,12 +15,11 @@ moduli and refutation stages take their cells from one level walk, ``_levels``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, tee
 
 from .bits import check_natural
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Record
 from .kakutani import Inconclusive, perfect_family
 from .measures import CylinderFamily, ExactSum, ZERO, product_code
 from .productgap import mim_masses, tv_upper_bound
@@ -80,8 +79,7 @@ def gap(mu, nu, d):
     return nu_a - mu_a
 
 
-@dataclass(frozen=True)
-class OrthoCertificate:
+class OrthoCertificate(Record):
     """Level-``depth`` cell family with tiny mu-mass and near-full nu-mass;
     re-checkable with ``measure_of_family``."""
 
@@ -138,15 +136,13 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
     return Inconclusive(best, best_depth)
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(Record):
     """Least scanned level at which every cylinder has mass < epsilon."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class AtomWitness:
+class AtomWitness(Record):
     """A branch holding mass > epsilon all the way to the scan horizon."""
 
     prefix: str
@@ -174,8 +170,7 @@ def continuity_modulus(mu, epsilon, max_depth):
     return Inconclusive(detail="mass exactly epsilon at the horizon")
 
 
-@dataclass(frozen=True)
-class RefutationWitness:
+class RefutationWitness(Record):
     """Stage-wise refutation of absolute continuity: families of tiny nu-mass
     but mu-mass bounded below."""
 
@@ -226,16 +221,14 @@ def refute_abs_continuity(mu, nu, epsilon, stages, max_depth):
     return RefutationWitness(epsilon, tuple(found))
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     """No candidate was orthogonal to the whole family; best gap seen per
     rejected candidate."""
 
     best_gaps: tuple  # of (candidate, best_gap, at_depth)
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(Record):
     code: object
     certificates: tuple
     candidate_index: int
@@ -270,8 +263,7 @@ def extend_family(family, candidates, epsilon, max_depth, recheck=True):
     return Failure(tuple(best_gaps))
 
 
-@dataclass(frozen=True)
-class FamilyBuildResult:
+class FamilyBuildResult(Record):
     measures: tuple
     certificates: tuple  # OrthoCertificate per (earlier member, new member) pair
     failure: object  # Failure when the build stopped early, else None

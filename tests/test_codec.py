@@ -25,7 +25,7 @@ from cmc import (
     spine,
     validate_additivity,
 )
-from cmc import codec, measures, parse
+from cmc import codec, measures, parse, print_measure
 from cmc.codec import CodedMeasure, Stabilized
 from cmc.bits import PeriodicBits, all_strings_of_length
 from cmc.measures import UNIFORM_SCHEDULE, MeasureCode, Violation
@@ -657,12 +657,17 @@ def _string_entry_points():
 STRING_ENTRY_POINTS = _string_entry_points()
 
 
-@pytest.mark.parametrize("bad", ["2", "0a", 5, None], ids=repr)
+@pytest.mark.parametrize("bad", ["2", "0a", 5, None, ["0"], (2,)], ids=repr)
 @pytest.mark.parametrize("name", STRING_ENTRY_POINTS)
 def test_public_entry_points_reject_a_non_bitstring(name, bad):
     with pytest.raises(ValueError) as err:
         STRING_ENTRY_POINTS[name](bad)
     assert str(err.value) == f"not a bitstring: {bad!r}"
+
+
+def test_tuple_payload_is_stored_as_int_bits():
+    # the DSL builds tuples of 0s and 1s; a library caller may pass bools
+    assert print_measure(encode(Uniform(), (True, False))) == "coded(uniform; 10)"
 
 
 @pytest.mark.parametrize(
