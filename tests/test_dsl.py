@@ -1,3 +1,6 @@
+import collections
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -138,3 +141,95 @@ def test_zero_denominator_is_syntax_error(text, column):
     assert isinstance(d, Diagnostic)
     assert (d.line, d.column) == (1, column)
     assert d.expected == ("positive integer",)
+
+
+# One outcome line per text and entry point, hashed: the printed result, the
+# Diagnostic's fields, or the type and text of what was raised.  The texts are
+# the corpus, MALFORMED and seeded mutations of them; the recorded digest pins
+# every outcome, error position and error order of the parser.
+_TOKENS = [
+    "(", ")", ",", ";", ":", "=", "/", "*", "-", " ", "\n", "0", "1", "2", "9", "0x",
+    "f", "()", ",)", ";)", "1/2", "1/0", "0/3", "uniform", "dirac(", "finite(", "convex(",
+    "product(", "table(", "coded(", "const(", "ks(", "list(", "cycle", "x",
+]
+
+# well-formed texts whose constructors refuse them
+_SEMANTIC = [
+    "finite(0: 2/3, 1: 1/2)",
+    "convex(1/2: uniform, 1/3: dirac(1))",
+    "product(const(3/2))",
+    "product(list(1/2, 5/4; const(-1)))",
+    "table(1; 00 = 1/4)",
+    "table(2; 0 = 1/2, 1 = 1/2, 0 = 1/4)",
+    "table(2; 01 = 3/2)",
+]
+
+
+def _arguments(text):
+    """The text inside each pair of parentheses and after each ';' within one,
+    so the schedule, pattern and payload entry points see their own forms."""
+    out, opened = [], []
+    for i, c in enumerate(text):
+        if c == "(":
+            opened.append(i)
+        elif c == ";" and opened:
+            opened.append(i)
+        elif c == ")" and opened:
+            while text[opened[-1]] == ";":
+                out.append(text[opened.pop() + 1 : i].strip())
+            out.append(text[opened.pop() + 1 : i])
+    return out
+
+
+def _mutations(texts, count, seed=20261020):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        text = rng.choice(texts)
+        for _ in range(rng.randrange(1, 4)):
+            i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+            kind = rng.randrange(4)
+            if kind == 0:
+                text = text[:i] + text[i + 1 :]
+            elif kind == 1:
+                text = text[:i] + rng.choice(_TOKENS) + text[i:]
+            elif kind == 2:
+                text = text[:i] + text[j:]
+            else:
+                text = text[:i]
+        out.append(text)
+    return out
+
+
+_SHOW = {
+    parse: print_measure,
+    parse_schedule: print_schedule,
+    parse_pattern: lambda x: f"{x.prefix_bits}|{x.period_bits}",
+    parse_payload: lambda t: "".join(map(str, t)),
+}
+
+
+def _outcome(entry, text):
+    try:
+        out = entry(text)
+        if isinstance(out, Diagnostic):
+            return f"D {out.message!r} {out.line}:{out.column} {out.expected!r}"
+        return "= " + _SHOW[entry](out)
+    except Exception as err:  # the outcome being pinned, whatever it is
+        return f"! {type(err).__name__}: {err}"
+
+
+def test_parser_outcomes_pinned():
+    base = [source for source, _ in corpus(200)] + MALFORMED + _SEMANTIC
+    args = sorted({arg for text in base for arg in _arguments(text)})
+    texts = base + args + _mutations(base, 4000) + _mutations(args, 2000)
+    sha, kinds = hashlib.sha256(), collections.Counter()
+    for text in texts:
+        for entry in _SHOW:
+            line = _outcome(entry, text)
+            kinds[entry.__name__, line[0]] += 1
+            sha.update(f"{entry.__name__} {text!r} {line}\n".encode())
+    assert len(texts) == 6575
+    # every entry point both parses and diagnoses; parse also raises
+    assert all(kinds[e.__name__, k] for e in _SHOW for k in "=D") and kinds["parse", "!"]
+    assert sha.hexdigest()[:16] == "9d211b4b238039e6"
