@@ -23,9 +23,14 @@ sequences: plain ``bits`` continue with zeros, ``w*`` repeats the last bit of
 ``w`` forever, ``w(p)*`` repeats the group ``p`` after the prefix ``w``.
 
 ``parse`` returns either a MeasureCode or a ``Diagnostic`` carrying the
-1-based line and column of the failure plus the expected tokens.  Semantic
-failures inside structurally valid text (weights not summing to one, values
-out of range) raise ``SemanticError``.
+1-based line and column of the failure plus the expected tokens.  The parser
+raises the ``Diagnostic`` where the failure occurs, at the offending token,
+and each entry point catches it and returns it.  Semantic failures inside
+structurally valid text (weights not summing to one, values out of range)
+raise ``SemanticError``.  A form's code is built only once its closing
+parenthesis is read, so a form's ``SemanticError`` comes after any syntax
+error inside the form; a duplicate table key is refused just before the
+table's ``)``.
 
 ``print_measure`` emits the canonical form: single ``", "``/``": "``/``" = "``
 separators, reduced rationals, lowercase hex payloads exactly when the
@@ -53,21 +58,13 @@ from .measures import (
 )
 from .schedules import ConstantSchedule, ExplicitSchedule, KSSchedule, ks_schedule
 
-_KEYWORD = re.compile(r"[a-z]+")
-_DIGITS = re.compile(r"[0-9]+")
+_KEYWORD = re.compile(r"[a-z]*")
+_DIGITS = re.compile(r"[0-9]*")
 _BITS = re.compile(r"[01]*")
-_HEX = re.compile(r"[0-9a-fA-F]+")
+_PAYLOAD = re.compile(r"0x[0-9a-fA-F]*|[01]*")
 
 _MEASURE_KEYWORDS = ("uniform", "dirac", "finite", "convex", "product", "table", "coded")
 _SCHEDULE_KEYWORDS = ("const", "ks", "list")
-
-
-class _Syntax(Exception):
-    def __init__(self, pos, message, expected):
-        super().__init__(message)
-        self.pos = pos
-        self.message = message
-        self.expected = tuple(expected)
 
 
 class _Parser:
@@ -75,67 +72,61 @@ class _Parser:
         self.text = text
         self.pos = 0
 
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
     def fail(self, message, *expected):
-        raise _Syntax(self.pos, message, expected)
+        text, pos = self.text, self.pos
+        column = pos - text.rfind("\n", 0, pos)
+        raise Diagnostic(message, text.count("\n", 0, pos) + 1, column, expected)
 
-    def lit(self, token):
-        self.skip()
-        if not self.text.startswith(token, self.pos):
-            self.fail(f"expected {token!r}", token)
-        self.pos += len(token)
-
-    def try_lit(self, token):
-        self.skip()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
+    def skip(self):
+        """Move past whitespace; the position of the next token."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos] in " \t\r\n":
+            pos += 1
+        self.pos = pos
+        return pos
 
     def peek(self, token):
-        self.skip()
-        return self.text.startswith(token, self.pos)
+        return self.text.startswith(token, self.skip())
+
+    def take(self, token):
+        found = self.text.startswith(token, self.skip())
+        if found:
+            self.pos += len(token)
+        return found
+
+    def lit(self, token):
+        if not self.take(token):
+            self.fail(f"expected {token!r}", token)
+
+    def read(self, pattern):
+        """Consume and return the match of ``pattern`` at the next token, maybe ''."""
+        word = pattern.match(self.text, self.skip()).group()
+        self.pos += len(word)
+        return word
 
     def keyword(self, choices):
-        self.skip()
-        m = _KEYWORD.match(self.text, self.pos)
-        if not m or m.group() not in choices:
+        word = self.read(_KEYWORD)
+        if word not in choices:
+            self.pos -= len(word)
             self.fail("expected a keyword", *choices)
-        self.pos = m.end()
-        return m.group()
-
-    def bits(self):
-        self.skip()
-        m = _BITS.match(self.text, self.pos)
-        self.pos = m.end()
-        return m.group()
+        return word
 
     def unsigned(self):
-        self.skip()
-        m = _DIGITS.match(self.text, self.pos)
-        if not m:
+        digits = self.read(_DIGITS)
+        if not digits:
             self.fail("expected an integer", "integer")
-        self.pos = m.end()
-        return int(m.group())
+        return int(digits)
 
     def rational(self):
-        self.skip()
-        neg = self.try_lit("-")
-        n = self.unsigned()
-        if neg:
-            n = -n
-        if self.try_lit("/"):
-            self.skip()
-            at = self.pos
-            den = self.unsigned()
-            if not den:
-                self.pos = at
-                self.fail("expected a positive denominator", "positive integer")
-            return Fraction(n, den)
-        return Fraction(n)
+        n = -self.unsigned() if self.take("-") else self.unsigned()
+        if not self.take("/"):
+            return Fraction(n)
+        at = self.skip()
+        den = self.unsigned()
+        if not den:
+            self.pos = at
+            self.fail("expected a positive denominator", "positive integer")
+        return Fraction(n, den)
 
     # grammar productions ---------------------------------------------------
 
@@ -145,48 +136,37 @@ class _Parser:
             return Uniform()
         self.lit("(")
         if kw == "dirac":
-            b = self.bits()
-            self.lit(")")
-            return Dirac(b)
-        if kw == "finite":
+            make, args = Dirac, [self.bits()]
+        elif kw == "finite":
             pairs = self._entries(lambda: (self.bits(), self._after(":", self.rational)))
-            self.lit(")")
-            return FiniteSupport(pairs)
-        if kw == "convex":
+            make, args = FiniteSupport, [pairs]
+        elif kw == "convex":
             terms = self._entries(lambda: (self.rational(), self._after(":", self.measure)))
-            self.lit(")")
-            return Convex(terms)
-        if kw == "product":
-            sched = self.schedule()
-            self.lit(")")
-            return ProductCode(sched)
-        if kw == "table":
+            make, args = Convex, [terms]
+        elif kw == "product":
+            make, args = ProductCode, [self.schedule()]
+        elif kw == "table":
             depth = self.unsigned()
             self.lit(";")
             entries = {}
-            for key, value in self._entries(
-                lambda: (self.bits(), self._after("=", self.rational))
-            ):
+            for key, value in self._entries(lambda: (self.bits(), self._after("=", self.rational))):
                 if key in entries:
                     raise SemanticError(f"duplicate table entry {key!r}")
                 entries[key] = value
-            self.lit(")")
-            return TableCode(depth, entries)
-        base = self.measure()
-        self.lit(";")
-        payload = self.payload()
+            make, args = TableCode, [depth, entries]
+        else:
+            make, args = encode, [self.measure(), self._after(";", self.payload)]
         self.lit(")")
-        return encode(base, payload)
+        return make(*args)
 
     def _after(self, token, production):
         self.lit(token)
         return production()
 
-    def _entries(self, entry):
+    def _entries(self, entry, close=")"):
+        """``entry``, then more after commas; a comma may come last before ``close``."""
         out = [entry()]
-        while self.try_lit(","):
-            if self.peek(")"):
-                break
+        while self.take(",") and not self.peek(close):
             out.append(entry())
         return out
 
@@ -194,77 +174,58 @@ class _Parser:
         kw = self.keyword(_SCHEDULE_KEYWORDS)
         self.lit("(")
         if kw == "const":
-            value = self.rational()
-            self.lit(")")
-            return ConstantSchedule(value)
-        if kw == "ks":
-            pat = self.pattern()
-            self.lit(")")
-            return ks_schedule(pat)
-        values = [self.rational()]
-        while self.try_lit(","):
-            if self.peek(";"):
-                break
-            values.append(self.rational())
-        self.lit(";")
-        tail = self.tailrule()
+            make, args = ConstantSchedule, [self.rational()]
+        elif kw == "ks":
+            make, args = ks_schedule, [self.pattern()]
+        else:
+            values = self._entries(self.rational, ";")
+            make, args = ExplicitSchedule, [values, self._after(";", self.tailrule)]
         self.lit(")")
-        return ExplicitSchedule(values, tail)
+        return make(*args)
 
     def tailrule(self):
-        kw = self.keyword(("const", "cycle"))
-        if kw == "cycle":
+        if self.keyword(("const", "cycle")) == "cycle":
             return "cycle"
         self.lit("(")
         value = self.rational()
         self.lit(")")
         return ("const", value)
 
+    def bits(self):
+        return self.read(_BITS)
+
     def pattern(self):
         w = self.bits()
-        if self.peek("("):
-            self.lit("(")
+        if self.take("("):
             period = self.bits()
             if not period:
                 self.fail("expected bits in the repeat group", "bits")
             self.lit(")")
             self.lit("*")
             return PeriodicBits(w, period)
-        if self.try_lit("*"):
+        if self.take("*"):
             if not w:
                 self.fail("expected bits before '*'", "bits")
             return PeriodicBits(w[:-1], w[-1])
         return PeriodicBits(w, "0")
 
     def payload(self):
-        self.skip()
-        if self.text.startswith("0x", self.pos):
-            self.pos += 2
-            m = _HEX.match(self.text, self.pos)
-            if not m:
-                self.fail("expected hex digits after '0x'", "hex digits")
-            self.pos = m.end()
-            return tuple(
-                int(bit) for c in m.group() for bit in format(int(c, 16), "04b")
-            )
-        return tuple(int(b) for b in self.bits())
-
-
-def _diagnose(source, err):
-    line = source.count("\n", 0, err.pos) + 1
-    column = err.pos - source.rfind("\n", 0, err.pos)
-    return Diagnostic(err.message, line, column, err.expected)
+        word = self.read(_PAYLOAD)
+        if not word.startswith("0x"):
+            return tuple(map(int, word))
+        if word == "0x":
+            self.fail("expected hex digits after '0x'", "hex digits")
+        return tuple(int(bit) for c in word[2:] for bit in format(int(c, 16), "04b"))
 
 
 def _run(source, production):
     p = _Parser(source)
     try:
         out = production(p)
-        p.skip()
-        if p.pos != len(p.text):
+        if p.skip() != len(source):
             p.fail("unexpected trailing input", "end of input")
-    except _Syntax as err:
-        return _diagnose(source, err)
+    except Diagnostic as err:
+        return err
     return out
 
 

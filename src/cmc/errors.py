@@ -14,6 +14,9 @@ class Record:
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
 
     def __init__(self, *args, **kwargs):
+        if not kwargs and len(args) == len(self._fields):  # every field, in order
+            self.__dict__.update(zip(self._fields, args))
+            return
         fields, given = self._fields, {**self._defaults, **kwargs}
         rest = fields[len(args):]
         if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= given.keys():

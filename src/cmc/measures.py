@@ -67,7 +67,8 @@ class MeasureCode:
     def _mass_raw(self, s):
         """The descent: from the deepest memoized ancestor (or the root, of
         mass 1), one conditional ratio per level, to the first zero."""
-        memo, k, m = self._memo, len(s), None
+        memo, m = self._memo, None
+        k = len(s) if memo else 0  # an empty memo holds no ancestor: start at the root
         while m is None:
             k -= 1
             m = memo.get(s[:k]) if k > 0 else ONE
@@ -217,13 +218,14 @@ class TableCode(MeasureCode):
         for t in sorted(named | {bits.sibling(key) for key in entries if key}, key=len):
             v, sib = cells[t[:-1]], bits.sibling(t)
             cells[t] = entries[t] if t in entries else v - entries[sib] if sib in entries else v / 2
+        self._reach = max(map(len, cells))  # no longer prefix is named
 
     def _split(self, s, i, positive):
-        return (1, 2) if i > self.depth or s[:i] not in self._cells else None
+        return (1, 2) if i > self._reach or s[:i] not in self._cells else None
 
     def _mass_raw(self, s):
         """The deepest named prefix's mass, halved once per level below it."""
-        cells, k = self._cells, min(len(s), self.depth)
+        cells, k = self._cells, min(len(s), self._reach)
         while s[:k] not in cells:
             k -= 1
         v = cells[s[:k]]

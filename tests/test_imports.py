@@ -1,5 +1,6 @@
 """What the package imports: only the standard library, and for the CLI no
-``dataclasses`` or ``inspect`` (together about 10 ms of every CLI process)."""
+``dataclasses`` or ``inspect`` (together about 10 ms of every CLI process).
+Also the package's one layout rule: no source line is over 100 columns."""
 
 import ast
 import os
@@ -37,3 +38,13 @@ def test_package_imports_only_the_standard_library():
             stdlib = sys.stdlib_module_names
             outside += [(path.name, n) for n in names if n.split(".")[0] not in stdlib]
     assert outside == []
+
+
+def test_no_source_line_is_over_100_columns():
+    long = [
+        (path.name, number)
+        for path in sorted((SRC / "cmc").glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []

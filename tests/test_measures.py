@@ -238,6 +238,47 @@ def test_cold_deep_cylinders():
     assert t.mass("0" * 5000) == F(3, 4) / 2**4999
 
 
+class _CountingDict(dict):
+    """A dict that counts its lookups by key."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_deep_table_with_shallow_entries_reads_in_linear_time():
+    # a table reads no prefix longer than its deepest named cell, so a cold
+    # length-5000 read and the conditional ratios at every level each look
+    # up a bounded number of cells, not one per level of the stored depth
+    t = TableCode(5000, {"0": F(1, 2)})
+    s = "0" * 5000
+    cells = t._cells = _CountingDict(t._cells)
+    assert t.mass(s) == F(1, 2**5000)
+    assert cells.lookups <= 2
+    cells.lookups = 0
+    assert [t._split(s, i, True) for i in range(2, 5001)] == [(1, 2)] * 4999
+    assert cells.lookups == 0
+
+
+def test_cold_read_of_a_fresh_code_looks_up_no_prefix():
+    # with nothing memoized the descent starts at the root: it does not look
+    # up each of the string's prefixes first
+    p = ProductCode(ConstantSchedule(F(1, 3)))
+    memo = p._memo = _CountingDict()
+    assert p.mass("01" * 2500) == F(2, 9) ** 2500
+    assert memo.lookups <= 2
+
+
 def test_validate_additivity_reports_first_violation():
     bad = TableCode(2, {"0": F(1, 3), "00": F(1, 2), "01": F(1, 2)})
     v = validate_additivity(bad, 3)
