@@ -111,6 +111,9 @@ class _Parser:
             self.fail("expected a keyword", *choices)
         return word
 
+    def bits(self):
+        return self.read(_BITS)
+
     def unsigned(self):
         digits = self.read(_DIGITS)
         if not digits:
@@ -190,9 +193,6 @@ class _Parser:
         value = self.rational()
         self.lit(")")
         return ("const", value)
-
-    def bits(self):
-        return self.read(_BITS)
 
     def pattern(self):
         w = self.bits()
