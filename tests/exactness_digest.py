@@ -36,6 +36,16 @@ does not collect this file; it imports its codes from the test modules and the
   ordered pair of the 7 ``cell-walk`` codes of seeds 1-3 and both orders of
   the golden pairs, and ``continuity_modulus`` at four epsilons on each of
   those codes, all at max depths 0, 1, 2, 3, 5, 8 and 12.
+- ``families``: ``build_family`` for counts 0..8 at epsilon 9/20, 2/5 and
+  1/4 and max depths 0, 8, 10, 12 and 16, on the default candidates and on
+  a shuffled ``perfect_family(16)`` that holds one candidate twice;
+  ``extend_family`` with and without ``recheck`` from prefixes of a built
+  family and from a family of two equal members; and ``ortho_certificate``
+  at max depths 17..24, where product pairs meet the affinity bound, on
+  both orders of the golden ks pair and on ``product(const(1/4))`` against
+  itself.  The builds share one cache of certificate searches keyed by the
+  ``repr`` of both codes, epsilon and depth, so each pair is searched once
+  in the group; a build still makes its own choices.
 """
 
 import hashlib
@@ -56,19 +66,25 @@ from cmc import (  # noqa: E402
     ProductCode,
     TableCode,
     Uniform,
+    build_family,
     continuity_modulus,
     decode,
     density,
     density_limit,
     encode,
+    extend_family,
+    ks_schedule,
     offspine_decomposition,
     ortho_certificate,
     parse,
+    perfect_family,
+    product_code,
     refute_abs_continuity,
     spine,
     validate_additivity,
 )
 from cmc.bits import all_strings_of_length  # noqa: E402
+from cmc import orthogonality  # noqa: E402
 from cmc.codec import CodedMeasure  # noqa: E402
 from cmc.orthogonality import _masses_above  # noqa: E402
 from cmc.schedules import ConstantSchedule  # noqa: E402
@@ -253,6 +269,7 @@ EXPECTED = {
     "spines": "spines: 55926 results, sha256 8bbe82967f03e730",
     "classes": "classes: 20649 results, sha256 1aca7d038f5ca4b3",
     "scans": "scans: 6461 results, sha256 a390963562ab8ac5",
+    "families": "families: 438 results, sha256 c6dcf70166b8d53c",
 }
 
 
@@ -279,9 +296,56 @@ def scans():
     return out
 
 
+def families():
+    out = Digest()
+    shuffled = perfect_family(16)
+    random.Random(24).shuffle(shuffled)
+    shuffled.insert(6, shuffled[2])
+    lists = {"default": None, "shuffled": shuffled}
+    seen, search = {}, orthogonality.ortho_certificate
+
+    def cached(mu, nu, epsilon, max_depth):
+        key = (repr(mu), repr(nu), epsilon, max_depth)
+        if key not in seen:
+            seen[key] = search(mu, nu, epsilon, max_depth)
+        return seen[key]
+
+    orthogonality.ortho_certificate = cached
+    try:
+        for name, candidates in lists.items():
+            for eps in (F(9, 20), F(2, 5), F(1, 4)):
+                for d in (0, 8, 10, 12, 16):
+                    for n in range(9):
+                        out.add(
+                            f"{name} build {n} {eps}@{d}",
+                            lambda: build_family(n, eps, d, candidates),
+                        )
+    finally:
+        orthogonality.ortho_certificate = search
+    built = build_family(4, F(9, 20), 10).measures
+    twin = product_code(ks_schedule(shuffled[2]))
+    for k, family in enumerate([built[:k] for k in range(5)] + [(twin, twin)]):
+        for name, candidates in (("default", perfect_family(16)), ("shuffled", shuffled)):
+            for eps in (F(9, 20), F(1, 4)):
+                for d in (8, 12):
+                    for recheck in (False, True):
+                        out.add(
+                            f"extend {k} {name} {eps}@{d} {recheck}",
+                            lambda: extend_family(family, candidates, eps, d, recheck),
+                        )
+    ks = GOLDEN_PAIRS[1]
+    quarter = ("product(const(1/4))",) * 2
+    for a, b in (ks, ks[::-1], quarter):
+        mu, nu = parse(a), parse(b)
+        for d in range(17, 25):
+            for eps in (F(1, 20), F(1, 4), F(9, 20)):
+                out.add(f"{a}/{b} certify {eps}@{d}", lambda: ortho_certificate(mu, nu, eps, d))
+    return out
+
+
 def main():
     differ = []
-    for group in (gaps, masses, spines, classes, scans):
+    for group in (gaps, masses, spines, classes, scans, families):
         line = group().line(group.__name__)
         print(line, flush=True)
         if line != EXPECTED[group.__name__]:
