@@ -10,6 +10,7 @@ a finite stage; equivalence is only ever asserted from declared metadata
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .bits import BitSequence, check_natural, difference_summary
 from .dyadic import affinity_bounds
@@ -139,21 +140,16 @@ class BlockBits(BitSequence):
 
 
 _MIN_BLOCK_DISTANCE = 5
-_code_cache = {}
 
 
+@cache
 def _block_codewords(length):
     """Greedy lexicographic binary code of the given length with pairwise
     Hamming distance >= 5."""
-    words = _code_cache.get(length)
-    if words is None:
-        words = []
-        for v in range(1 << length):
-            if all(
-                bin(v ^ w).count("1") >= _MIN_BLOCK_DISTANCE for w in words
-            ):
-                words.append(v)
-        _code_cache[length] = words
+    words = []
+    for v in range(1 << length):
+        if all(bin(v ^ w).count("1") >= _MIN_BLOCK_DISTANCE for w in words):
+            words.append(v)
     return words
 
 

@@ -113,9 +113,8 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
         r = range(max_depth)
         bound = tv_upper_bound(map(sa.alpha, r), map(sb.alpha, r), max_depth)
         if bound <= 1 - 2 * epsilon:
-            probe = min(max_depth, _PROBE_DEPTH)
-            mu_a, nu_a = _masses_above(mu, nu, probe)
-            return Inconclusive(nu_a - mu_a, probe, "affinity bound excludes a certificate")
+            probe = gap(mu, nu, _PROBE_DEPTH)
+            return Inconclusive(probe, _PROBE_DEPTH, "affinity bound excludes a certificate")
     best, best_depth = ZERO, 0
     for d in range(1, max_depth + 1):
         mu_a, nu_a = _masses_above(mu, nu, d)
@@ -128,10 +127,7 @@ def ortho_certificate(mu, nu, epsilon, max_depth):
                     f"is too large to materialize"
                 )
             level = next(islice(_levels(nu, bool), d, None))
-            pairs = ((s, mu._read(s), nu._read(s)) for s in level)
-            cells = [  # the level-d cells of positive nu-mass where nu > mu
-                s for s, m, v in pairs if v.numerator * m.denominator > m.numerator * v.denominator
-            ]
+            cells = [s for s in level if nu._read(s) > mu._read(s)]
             return OrthoCertificate(epsilon, d, CylinderFamily(cells), mu_a, nu_a)
     return Inconclusive(best, best_depth)
 
@@ -270,22 +266,26 @@ class FamilyBuildResult(Record):
 
 
 def build_family(count, epsilon, max_depth, candidates=None):
-    """Iterate extend_family from the empty family, consuming candidates."""
+    """Iterate extend_family from the empty family, taking each candidate once,
+    in order, until ``count`` members are found.  The family only grows and
+    each candidate is checked against the members in order, so a candidate
+    refused once is refused again, at the same member with the same gap, by
+    every later family: a second look at it would change nothing.  ``Failure``
+    lists the refused candidates in order."""
     check_natural(count, "count")
     _check_epsilon(epsilon)
     check_natural(max_depth, "max_depth")
     if candidates is None:
         candidates = perfect_family(max(2 * count, 16))
-    pool = list(candidates)
-    measures = []
-    certificates = []
-    failure = None
-    while len(measures) < count:
-        result = extend_family(measures, pool, epsilon, max_depth, recheck=False)
-        if isinstance(result, Failure):
-            failure = result
+    measures, certificates, best_gaps = [], [], []
+    for x in candidates:
+        if len(measures) == count:
             break
-        measures.append(result.code)
-        certificates.extend(result.certificates)
-        del pool[result.candidate_index]
+        result = extend_family(measures, [x], epsilon, max_depth, recheck=False)
+        if isinstance(result, Failure):
+            best_gaps += result.best_gaps
+        else:
+            measures.append(result.code)
+            certificates += result.certificates
+    failure = Failure(tuple(best_gaps)) if len(measures) < count else None
     return FamilyBuildResult(tuple(measures), tuple(certificates), failure)

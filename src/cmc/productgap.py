@@ -195,12 +195,6 @@ def tv_upper_bound(aprobs, bprobs, d):
     """Rational bound: for every depth d' <= d, the depth-d' gap is at most
     the returned value."""
     bits = 48  # precision of each square-root bound
-    bc_lo = Fraction(1)
-    for a, b in islice(zip(aprobs, bprobs), d):
-        bc_lo *= affinity_bounds(a, b, bits)[0]
-        if bc_lo <= 0:
-            return Fraction(1)
-    if bc_lo >= 1:
-        return Fraction(0)
+    bc_lo = prod(affinity_bounds(a, b, bits)[0] for a, b in islice(zip(aprobs, bprobs), d))
     _, hi = sqrt_bounds(1 - bc_lo * bc_lo, bits)
     return min(hi, Fraction(1))

@@ -9,8 +9,10 @@ import pytest
 from cmc import (
     AtomWitness,
     Convex,
+    CylinderFamily,
     Dirac,
     Failure,
+    FamilyBuildResult,
     FiniteSupport,
     Inconclusive,
     Modulus,
@@ -552,6 +554,15 @@ def test_ortho_certificate_dirac_uniform():
     assert measure_of_family(Uniform(), cert.cells) == cert.nu_mass
 
 
+def test_ortho_certificate_leaves_out_cells_of_equal_mass():
+    # at depth 2 the cell 01 has mass 1/10 under both, so it is not in {nu > mu}
+    mu = TableCode(2, {"00": F(1, 5), "01": F(1, 10), "10": F(2, 5), "11": F(3, 10)})
+    nu = TableCode(2, {"00": F(4, 5), "01": F(1, 10), "10": F(1, 20), "11": F(1, 20)})
+    cert = ortho_certificate(mu, nu, F(1, 4), 4)
+    assert cert == OrthoCertificate(F(1, 4), 2, CylinderFamily(["00"]), F(1, 5), F(4, 5))
+    assert measure_of_family(nu, cert.cells) == cert.nu_mass
+
+
 def test_ortho_certificate_inconclusive_shallow():
     out = ortho_certificate(Uniform(), ProductCode(ConstantSchedule(F(1, 3))), F(1, 20), 12)
     assert isinstance(out, Inconclusive)
@@ -564,6 +575,25 @@ def test_ortho_certificate_affinity_prefilter():
     out = ortho_certificate(Uniform(), ProductCode(ConstantSchedule(F(1, 3))), F(1, 20), 48)
     assert isinstance(out, Inconclusive)
     assert out.detail == "affinity bound excludes a certificate"
+
+
+def test_tv_upper_bound_of_equal_and_of_disjoint_coins():
+    quarter = [F(1, 4)] * 20
+    assert tv_upper_bound(quarter, quarter, 20) == 0  # every affinity floor is exactly 1
+    tiny = F(1, 1 << 100)  # each affinity is about 2**-49, so its 48-bit floor is 0
+    assert tv_upper_bound(repeat(tiny), repeat(1 - tiny), 20) == 1
+    code = ProductCode(ConstantSchedule(F(1, 4)))
+    out = ortho_certificate(code, code, F(1, 20), 20)
+    assert out == Inconclusive(0, 12, "affinity bound excludes a certificate")
+
+
+def test_ortho_certificate_refuses_a_cell_family_over_the_limit(monkeypatch):
+    monkeypatch.setattr(orthogonality, "_CELL_LIMIT", 16)
+    with pytest.raises(BudgetExceeded) as err:
+        ortho_certificate(Dirac("0"), Uniform(), F(1, 20), 10)
+    assert str(err.value) == (
+        "certificate exists at depth 5 but its cell family is too large to materialize"
+    )
 
 
 def test_ortho_certificate_epsilon_range():
@@ -729,3 +759,42 @@ def test_build_family_small_epsilon_large():
     assert len(result.certificates) == 3  # 0+1+2 pairwise checks
     for cert in result.certificates:
         assert isinstance(cert, OrthoCertificate)
+
+
+def _build_by_rescans(count, epsilon, max_depth, candidates):
+    """The family build that rescans every unused candidate after each new
+    member, as ``build_family`` once did."""
+    pool, measures, certificates = list(candidates), [], []
+    while len(measures) < count:
+        result = extend_family(measures, pool, epsilon, max_depth, recheck=False)
+        if isinstance(result, Failure):
+            return FamilyBuildResult(tuple(measures), tuple(certificates), result)
+        measures.append(result.code)
+        certificates += result.certificates
+        del pool[result.candidate_index]
+    return FamilyBuildResult(tuple(measures), tuple(certificates), None)
+
+
+def test_build_family_takes_each_candidate_once(monkeypatch):
+    calls = []
+    search = orthogonality.ortho_certificate
+    monkeypatch.setattr(
+        orthogonality, "ortho_certificate", lambda *args: calls.append(args) or search(*args)
+    )
+    out = build_family(6, F(9, 20), 10)
+    assert len(calls) == 22
+    calls.clear()
+    rescanned = _build_by_rescans(6, F(9, 20), 10, perfect_family(16))
+    assert len(calls) == 29  # candidates passed over are searched again after each member
+    assert repr(out) == repr(rescanned)
+
+
+@pytest.mark.parametrize("count, epsilon, max_depth", [(8, F(9, 20), 8), (8, F(2, 5), 12)])
+def test_build_family_matches_the_rescanning_build(count, epsilon, max_depth):
+    candidates = perfect_family(12)
+    random.Random(count).shuffle(candidates)
+    candidates.insert(4, candidates[1])  # a duplicate is refused against its twin
+    out = build_family(count, epsilon, max_depth, candidates)
+    assert repr(out) == repr(_build_by_rescans(count, epsilon, max_depth, candidates))
+    assert out.failure is not None
+    assert len(out.failure.best_gaps) == len(candidates) - len(out.measures)
