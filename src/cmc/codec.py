@@ -28,8 +28,9 @@ class _SpineCache:
     search start (the root, then ``t_k + '0'``).  A node that does not split
     has at most one child of positive mass, so the branch has one string per
     level; it turns to ``'0'`` at every spine node, and the cursor is None
-    where it ends.  The walk resumes where the last query left it, and it
-    memoizes nothing.
+    where it ends.  Every node not yet found extends the cursor.  The walk
+    resumes where the last query left it, carries only the sign of the
+    cursor's mass (positive below the root) and memoizes nothing.
     """
 
     def __init__(self, code):
@@ -37,7 +38,7 @@ class _SpineCache:
         self.nodes = []
         self.index = {}
         self.start = self.cursor = ""
-        self.mass = code._mass_raw("")  # the cursor's mass
+        self.positive = code._mass_raw("").numerator > 0  # the sign of the cursor's mass
 
     def _step(self, budget):
         """Move the cursor one level down, recording it as the next node if
@@ -49,19 +50,19 @@ class _SpineCache:
                 f"no splitting node extending {self.start!r} within {budget} levels"
             )
         left, right = self._child(t + "0"), self._child(t + "1")
-        lp, rp = left.numerator > 0, right.numerator > 0  # no Fraction comparison
-        if lp and rp:
+        if left and right:
             self.index[t] = len(self.nodes)
             self.nodes.append(t)
             self.start = t + "0"
-        self.cursor, self.mass = (t + "0", left) if lp else (t + "1", right) if rp else (None, None)
+        self.cursor = t + "0" if left else t + "1" if right else None
+        self.positive = True
 
     def _child(self, c):
-        """Mass of the cursor's child ``c``, by the code's rule from the
-        cursor's mass where it has one."""
-        code, (n, d) = self.code, self.mass.as_integer_ratio()
-        rule = code._split(c, len(c), n > 0)
-        return code._mass_raw(c) if rule is None else Fraction(n * rule[0], d * rule[1])
+        """Whether the cursor's child ``c`` has positive mass: by the code's
+        rule ``(p, q)``, ``q > 0``, from the cursor's sign where it has one."""
+        code = self.code
+        rule = code._split(c, len(c), self.positive)
+        return code._mass_raw(c).numerator > 0 if rule is None else self.positive and rule[0] > 0
 
     def extend(self, budget, count=0, length=None):
         """Search on until at least ``count`` nodes are known and, when
@@ -125,11 +126,12 @@ class CodedMeasure(MeasureCode):
         self.payload_bits = tuple(payload) if hasattr(payload, "__len__") else None
 
     def _spine_index_of(self, s):
-        """Index of ``s`` in the base's spine, or None.  Decides membership by
-        moving the base's spine cursor past ``len(s)``, or to where the
-        spine ends."""
+        """Index of ``s`` in the base's spine, or None.  Moves the base's
+        spine cursor only while ``s`` extends it: every node not yet found
+        extends the cursor, so once the cursor is gone, longer than ``s`` or
+        off the branch of ``s``, the nodes found decide."""
         cache = _spine_cache(self.base)
-        while cache.cursor is not None and len(cache.cursor) <= len(s):
+        while cache.cursor is not None and s.startswith(cache.cursor):
             cache._step(self.budget)
         return cache.index.get(s)
 
@@ -155,8 +157,8 @@ class CodedMeasure(MeasureCode):
 
     def product_below(self, s):
         """The base's schedule below ``s`` once no stamped spine node extends
-        ``s``.  Past ``_spine_index_of(s)`` the cursor is longer than ``s`` or
-        gone, and every node not yet known extends it."""
+        ``s``.  Past ``_spine_index_of(s)`` the cursor is gone, longer than
+        ``s`` or off its branch, and every node not yet known extends it."""
         self._spine_index_of(s)
         cache, bits = _spine_cache(self.base), self.payload_bits
         ends = cache.nodes[: None if bits is None else len(bits)][-1:]  # the last stamped node

@@ -195,6 +195,9 @@ def tv_upper_bound(aprobs, bprobs, d):
     """Rational bound: for every depth d' <= d, the depth-d' gap is at most
     the returned value."""
     bits = 48  # precision of each square-root bound
-    bc_lo = prod(affinity_bounds(a, b, bits)[0] for a, b in islice(zip(aprobs, bprobs), d))
+    bc_lo = 1
+    for a, b in islice(zip(aprobs, bprobs), d):
+        if not (bc_lo := bc_lo * affinity_bounds(a, b, bits)[0]):
+            break  # a zero floor settles the bound at 1
     _, hi = sqrt_bounds(1 - bc_lo * bc_lo, bits)
     return min(hi, Fraction(1))

@@ -3,6 +3,7 @@
 Run from the repository root as
 
     PYTHONPATH=src python tests/exactness_digest.py
+    PYTHONPATH=src python tests/exactness_digest.py --dump spines spines.tsv
 
 Each group hashes the ``repr`` of every result (``Fraction``, ``Violation``,
 tuple, string) or, where a call raises, the exception's type and text, each
@@ -10,7 +11,10 @@ after a label naming the code and the query.  Two trees that print the same
 line for a group give the same exact results there.  Each line is compared
 with the one recorded in ``EXPECTED``; the script exits 1 and names every
 group that differs, so this one command is the exactness gate.  A change
-that alters exact results on purpose records the new lines there.  Pytest
+that alters exact results on purpose records the new lines there.  With
+``--dump GROUP FILE`` only that group runs, and it also writes each entry
+to FILE as one ``label<TAB>outcome`` line, exactly the text it hashes, so
+the entries of two trees can be compared with ``diff``.  Pytest
 does not collect this file; it imports its codes from the test modules and the
 ``cell-walk`` codes from ``perfbench/workloads.py``.
 
@@ -48,6 +52,7 @@ does not collect this file; it imports its codes from the test modules and the
   in the group; a build still makes its own choices.
 """
 
+import argparse
 import hashlib
 import random
 import sys
@@ -140,6 +145,8 @@ def _strings(level):
 
 
 class Digest:
+    dump = None  # a text file that receives every hashed line, when set
+
     def __init__(self):
         self.sha, self.count = hashlib.sha256(), 0
 
@@ -148,8 +155,11 @@ class Digest:
             out = repr(fn())
         except Exception as err:  # noqa: BLE001 - an exception is a result here
             out = f"{type(err).__name__}: {err}"
-        self.sha.update(f"{label}\t{out}\n".encode())
+        line = f"{label}\t{out}\n"
+        self.sha.update(line.encode())
         self.count += 1
+        if self.dump is not None:
+            self.dump.write(line)
 
     def line(self, name):
         return f"{name}: {self.count} results, sha256 {self.sha.hexdigest()[:16]}"
@@ -266,7 +276,7 @@ SCAN_DEPTHS = (0, 1, 2, 3, 5, 8, 12)
 EXPECTED = {
     "gaps": "gaps: 3341 results, sha256 31b9ee4659e3c19a",
     "masses": "masses: 5486 results, sha256 fac7e459595087b6",
-    "spines": "spines: 55926 results, sha256 8bbe82967f03e730",
+    "spines": "spines: 55926 results, sha256 9f4fa726f68d824e",
     "classes": "classes: 20649 results, sha256 1aca7d038f5ca4b3",
     "scans": "scans: 6461 results, sha256 a390963562ab8ac5",
     "families": "families: 438 results, sha256 c6dcf70166b8d53c",
@@ -343,9 +353,12 @@ def families():
     return out
 
 
-def main():
+GROUPS = (gaps, masses, spines, classes, scans, families)
+
+
+def _check(groups):
     differ = []
-    for group in (gaps, masses, spines, classes, scans, families):
+    for group in groups:
         line = group().line(group.__name__)
         print(line, flush=True)
         if line != EXPECTED[group.__name__]:
@@ -354,6 +367,25 @@ def main():
         print(f"differs from the recorded digest: {', '.join(differ)}", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Compare exact results with the recorded digest.")
+    parser.add_argument(
+        "--dump",
+        nargs=2,
+        metavar=("GROUP", "FILE"),
+        help="run only GROUP and write each of its entries to FILE as label<TAB>outcome",
+    )
+    args = parser.parse_args(argv)
+    if args.dump is None:
+        return _check(GROUPS)
+    name, path = args.dump
+    groups = [group for group in GROUPS if group.__name__ == name]
+    if not groups:
+        parser.error(f"unknown group {name!r}; the groups are {', '.join(EXPECTED)}")
+    with open(path, "w", encoding="utf-8") as Digest.dump:
+        return _check(groups)
 
 
 if __name__ == "__main__":

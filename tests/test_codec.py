@@ -315,8 +315,10 @@ def test_finite_payload_then_base():
 class _FrontierSpine:
     """Reference spine search: a level-by-level frontier of the strings of
     positive mass below the search start, scanned in lex order for the first
-    splitting node.  A search capped at length ``cap`` stops quietly there or
-    where the frontier dies; an uncapped one raises."""
+    splitting node.  A search capped at length ``cap`` stops quietly there,
+    where the frontier dies, or, given ``within``, where no frontier string
+    is a prefix of ``within``: a string off the frontier's branch is not a
+    node yet to be found.  An uncapped one raises."""
 
     def __init__(self, code):
         self.code = code
@@ -325,7 +327,7 @@ class _FrontierSpine:
         self.start = ""
         self.frontier = None
 
-    def step(self, cap, budget):
+    def step(self, cap, budget, within=None):
         code = self.code
         if self.frontier is None:
             self.frontier = [self.start]
@@ -335,6 +337,8 @@ class _FrontierSpine:
             cur_len = len(self.frontier[0])
             if cur_len > cap:
                 return "over-limit"
+            if within is not None and not any(within.startswith(t) for t in self.frontier):
+                return "off-branch"
             if cur_len - len(self.start) > budget:
                 raise BudgetExceeded(
                     f"no splitting node extending {self.start!r} within {budget} levels"
@@ -348,10 +352,10 @@ class _FrontierSpine:
                     return "found"
             self.frontier = [t + b for t in self.frontier for b in "01" if code.mass(t + b) > 0]
 
-    def extend(self, budget, count=0, length=None, cap=float("inf")):
+    def extend(self, budget, count=0, length=None, cap=float("inf"), within=None):
         nodes = self.nodes
         while len(nodes) < count or (length is not None and (not nodes or len(nodes[-1]) < length)):
-            if self.step(cap, budget) != "found":
+            if self.step(cap, budget, within) != "found":
                 if cap == float("inf"):
                     raise BudgetExceeded("spine ended: no further splitting node")
                 return
@@ -369,7 +373,7 @@ def _frontier_spine(code):
 class _FrontierCoded(CodedMeasure):
     def _spine_index_of(self, s):
         cache = _frontier_spine(self.base)
-        cache.extend(self.budget, length=len(s) + 1, cap=len(s))
+        cache.extend(self.budget, length=len(s) + 1, cap=len(s), within=s)
         return cache.index.get(s)
 
 
@@ -465,6 +469,48 @@ def test_dead_spine_texts():
     f = FiniteSupport([("000", F(1, 2)), ("001", F(1, 4)), ("1", F(1, 4))])
     with pytest.raises(BudgetExceeded, match="^no splitting node extending '000' within 2 levels$"):
         spine(f, 2, budget=2)
+
+
+def test_off_branch_read_stops_the_cursor(monkeypatch):
+    # the uniform spine runs down the zeros; a read down the ones leaves it
+    # below the root, so the cursor steps once, not once per level
+    steps, step = [], codec._SpineCache._step
+
+    def counted(self, budget):
+        steps.append(self.cursor)
+        return step(self, budget)
+
+    monkeypatch.setattr(codec._SpineCache, "_step", counted)
+    g = parse("coded(uniform; 0x5)")
+    assert eval_cylinder(g, "1" * 600) == F(2, 3) / 2**599  # payload bit 0 is 0
+    assert len(steps) <= 2
+
+
+def test_off_branch_reads_answer_within_a_small_budget():
+    # the spine of f splits at the root and then runs down 0111000... without
+    # splitting, so a budget of 1 ends every search below the root
+    f = FiniteSupport([("0111", F(1, 2)), ("1101", F(1, 2))])
+    assert encode(f, "1", 1).mass("1101") == encode(f, "1", 64).mass("1101") == F(1, 3)
+    with pytest.raises(BudgetExceeded, match="^no splitting node extending '0' within 1 levels$"):
+        encode(f, "1", 1).mass("01110")
+    # the point mass's branch never splits; the table side is uniform
+    base = parse("convex(1/2: dirac(0), 1/2: table(1; 0=0))")
+    assert encode(base, "1", 1).product_below("1000") is UNIFORM_SCHEDULE
+    assert encode(base, "1", 64).product_below("1000") is UNIFORM_SCHEDULE
+    with pytest.raises(BudgetExceeded, match="^no splitting node extending '0' within 1 levels$"):
+        encode(base, "1", 1).product_below("0000")
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_small_budget_answers_as_a_large_one_or_refuses(budget):
+    # a small budget may refuse a read, but never changes an answer
+    for name, make in _spine_cases():
+        small, large = encode(make(), "101", budget), encode(make(), "101", 64)
+        for s in (s for n in range(7) for s in all_strings_of_length(n)):
+            for read in ("mass", "product_below"):
+                got = _outcome(lambda: getattr(small, read)(s))
+                if not (isinstance(got, tuple) and got[0] == "BudgetExceeded"):
+                    assert got == getattr(large, read)(s), (name, read, s)
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,23 @@ def test_tv_upper_bound_of_equal_and_of_disjoint_coins():
     assert out == Inconclusive(0, 12, "affinity bound excludes a certificate")
 
 
+def test_affinity_prefilter_stops_at_a_zero_floor(monkeypatch):
+    # the first floor is 0, so the bound is 1 whatever the other coordinates;
+    # the search then finds the depth-1 certificate
+    tiny = F(1, 1 << 100)
+    calls, bounds = [], productgap.affinity_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return bounds(*args)
+
+    monkeypatch.setattr(productgap, "affinity_bounds", counted)
+    mu, nu = ProductCode(ConstantSchedule(tiny)), ProductCode(ConstantSchedule(1 - tiny))
+    out = ortho_certificate(mu, nu, F(1, 20), 100000)
+    assert len(calls) == 1
+    assert (out.depth, out.cells.strings, out.mu_mass, out.nu_mass) == (1, ("0",), tiny, 1 - tiny)
+
+
 def test_ortho_certificate_refuses_a_cell_family_over_the_limit(monkeypatch):
     monkeypatch.setattr(orthogonality, "_CELL_LIMIT", 16)
     with pytest.raises(BudgetExceeded) as err:
