@@ -115,6 +115,7 @@ class CodedMeasure(MeasureCode):
         if budget <= 0:
             raise ValueError("budget must be positive")
         self.base = base
+        self._nest((base,))
         if isinstance(payload, tuple) and all(b in (0, 1) for b in payload):
             payload = tuple(map(int, payload))
         elif not isinstance(payload, BitSequence):  # any other tuple fails the check

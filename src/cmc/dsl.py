@@ -49,6 +49,7 @@ from .bits import PeriodicBits
 from .codec import CodedMeasure, encode
 from .errors import Diagnostic, NotSerializable, SemanticError
 from .measures import (
+    MAX_NESTING,
     Convex,
     Dirac,
     FiniteSupport,
@@ -64,6 +65,7 @@ _BITS = re.compile(r"[01]*")
 _PAYLOAD = re.compile(r"0x[0-9a-fA-F]*|[01]*")
 
 _MEASURE_KEYWORDS = ("uniform", "dirac", "finite", "convex", "product", "table", "coded")
+_LEAVES = ("uniform", "dirac", "product", "table")  # the measures that nest no other
 _SCHEDULE_KEYWORDS = ("const", "ks", "list")
 
 
@@ -133,10 +135,13 @@ class _Parser:
 
     # grammar productions ---------------------------------------------------
 
-    def measure(self):
+    def measure(self, nesting=0):
         kw = self.keyword(_MEASURE_KEYWORDS)
         if kw == "uniform":
             return Uniform()
+        if kw not in _LEAVES and nesting == MAX_NESTING:
+            self.pos -= len(kw)
+            self.fail(f"mixtures and coded measures nest at most {MAX_NESTING} deep", *_LEAVES)
         self.lit("(")
         if kw == "dirac":
             make, args = Dirac, [self.bits()]
@@ -144,8 +149,8 @@ class _Parser:
             pairs = self._entries(lambda: (self.bits(), self._after(":", self.rational)))
             make, args = FiniteSupport, [pairs]
         elif kw == "convex":
-            terms = self._entries(lambda: (self.rational(), self._after(":", self.measure)))
-            make, args = Convex, [terms]
+            term = lambda: (self.rational(), self._after(":", lambda: self.measure(nesting + 1)))
+            make, args = Convex, [self._entries(term)]
         elif kw == "product":
             make, args = ProductCode, [self.schedule()]
         elif kw == "table":
@@ -158,7 +163,7 @@ class _Parser:
                 entries[key] = value
             make, args = TableCode, [depth, entries]
         else:
-            make, args = encode, [self.measure(), self._after(";", self.payload)]
+            make, args = encode, [self.measure(nesting + 1), self._after(";", self.payload)]
         self.lit(")")
         return make(*args)
 

@@ -28,6 +28,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 UNIFORM_SCHEDULE = ConstantSchedule(HALF)  # shared, so mixtures can match it
+MAX_NESTING = 64  # mixtures and coded codes nested in a code, at most
 
 
 def _check_unit(value, what="value"):
@@ -41,9 +42,16 @@ class MeasureCode:
     """Base class.  A code given by conditional ratios has ``_split``, which a
     cold cylinder descends by; any other code overrides ``_mass_raw``."""
 
+    nesting = 0  # mixtures and coded codes on the deepest path to a leaf
+
     def __init__(self):
         self._memo = {}
         self._spine = None  # the codec's lazily grown splitting spine
+
+    def _nest(self, children):
+        self.nesting = 1 + max(child.nesting for child in children)
+        if self.nesting > MAX_NESTING:
+            raise SemanticError(f"mixtures and coded measures nest at most {MAX_NESTING} deep")
 
     def mass(self, s):
         try:
@@ -132,6 +140,7 @@ class Convex(MeasureCode):
         if total != 1:
             raise SemanticError(f"{self._kind} weights sum to {total}, not 1")
         self.terms = tuple(terms)
+        self._nest(child for _, child in terms)
 
     def _mass_raw(self, s):
         """Every term's mass, in order, summed as one integer pair."""

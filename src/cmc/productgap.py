@@ -15,25 +15,24 @@ an inner-table cell, the inner table the first classes that reach ``2**10``
 cells (or all of half 2).  Each block, one outer cell times the inner table,
 is matched by bisection against half 1 (meet in the middle).
 
-Every ordering test compares float logarithms first and decides in exact
-integer arithmetic only inside a proven guard band.  For an int ``n >= 1``,
+Ordering tests compare float keys first.  For an int ``n >= 1`` of ``b`` bits,
 ``math.log`` rounds ``n`` to a double, or to a 53-bit mantissa times ``2**e``
 when ``n`` overflows one, and adds ``e * log(2)``; with a libm ``log`` within
-one ulp its result is within ``2**-50 * (1 + B)`` of ``ln n`` when ``n`` has
-at most ``B`` bits.  The sort compares half-1 keys ``log(nu) - log(mu)`` by
-their difference; the sweep compares a key with ``t -+ band``, computed as
-``(shift - outer key) - (inner key +- band)``, with two logs in each of
-``shift`` and the two factor keys.  So two compared floats combine at most
-eight logs by seven rounded operations on floats below ``3 * (1 + B)``, each
-adding at most ``2**-51 * (1 + B)``: they are off from their exact
-difference by less than ``2**-46 * (1 + B)``, ``B`` the largest bit length
-involved.  The band is ``GUARD * (1 + B)``: the ``2**17`` margin it had over
-``2**-47 * (1 + B)``, the bound when a half-2 key was one product's log,
-still leaves ``2**16``.  Floats further apart than the band are in exact
-order, and closer ones, exact ties among them, are settled by
-cross-multiplication.  So a float never decides which cells are in ``A``.
-No cell numerator exceeds its denominator, so one sweep takes ``B`` from the
-larger denominator.
+one ulp its result is within ``2**-50 * (1 + b)`` of ``ln n``.  No cell
+numerator is logged: a cell's key, near ``log(nu) - log(mu)``, is the seed's
+key plus ``log(wb) - log(wa)`` of its weights in each class, and ``shift``
+logs the two denominators.  With ``G`` classes and ``B`` the larger
+denominator's bit length, ``G <= 44`` (``total <= 2**44``) and ``G < B`` (a
+class at least doubles a denominator).  No logged number has more bits than
+its factor of a denominator, so one measure's logs in the keys compared sum
+``b`` to at most ``B + G``.  The sort compares two half-1 keys' difference
+with the band, the sweep a half-1 key with ``(shift - outer key) - (inner key
++- band)``: the logs in either err by at most ``12 * (1 + B) * 2**-50``, and
+at most 95 rounded operations (``2 * G + 7``; ``4 * 22 + 3`` in the sort) on
+floats below ``4 * (1 + B)`` by ``2**-51 * (1 + B)`` each.  So compared floats
+err by less than ``2**-44 * (1 + B)``, ``2**-14`` of the band ``GUARD * (1 +
+B)``: keys further apart are in exact order, closer ones (exact ties too) are
+cross-multiplied, and a float never decides which cells are in ``A``.
 
 ``tv_upper_bound`` gives a sound rational upper bound on the depth-d gap for
 every depth at once, via the product of per-coordinate Bhattacharyya
@@ -57,27 +56,37 @@ MIM_MAX_BITS = 1 << 33  # bits of cell numerators per half: enough for any ks pa
 GUARD = 2.0**-30  # float comparisons defer to exact ones within GUARD * (1 + bits)
 
 
+def _weights(c, *pairs):
+    """Per pair ``(p, q)``, ``comb(c, k) * p**k * q**(c - k)`` for ``k = c, ..., 0``."""
+    if c == 1:
+        return pairs
+    if c <= 32:  # fresh powers cost less than running products in a small class
+        return [[comb(c, k) * p**k * q ** (c - k) for k in range(c, -1, -1)] for p, q in pairs]
+    cs = list(accumulate(range(c, 0, -1), lambda b, j: b * j // (c + 1 - j), initial=1))
+    powers = lambda x: accumulate(repeat(x, c), mul, initial=1)
+    return [list(map(mul, cs, map(mul, reversed([*powers(p)]), powers(q)))) for p, q in pairs]
+
+
 def _build_half(classes, seed=(1, 1)):
-    """Cell numerators for a block of coordinate classes, times ``seed``, plus
-    the two common denominators.  A class ``((a, b), c)`` of ``c`` coordinates,
-    ``a`` and ``b`` integer ratios, gives one cell per zero count ``k``,
-    weighted by ``comb(c, k)`` in both."""
+    """Cell numerators for a block of coordinate classes, times ``seed``, their
+    keys and the two common denominators.  A class ``((a, b), c)``, integer
+    ratios, gives a cell per zero count ``k`` of its ``c`` coordinates."""
     (m0, mu_den), (n0, nu_den) = (x.as_integer_ratio() for x in seed)
-    mu, nu = [m0], [n0]
+    mu, nu, key = [m0], [n0], [log(n0) - log(m0)]
     for ((a0, ad), (b0, bd)), c in classes:
-        a1, b1 = ad - a0, bd - b0
-        ks = range(c, -1, -1)
-        mu = [x * w for w in [comb(c, k) * a0**k * a1 ** (c - k) for k in ks] for x in mu]
-        nu = [x * w for w in [comb(c, k) * b0**k * b1 ** (c - k) for k in ks] for x in nu]
+        wa, wb = _weights(c, (a0, ad - a0), (b0, bd - b0))
+        mu = [x * w for w in wa for x in mu]
+        nu = [x * w for w in wb for x in nu]
+        key = [x + g for g in map(sub, map(log, wb), map(log, wa)) for x in key]
         mu_den *= ad**c
         nu_den *= bd**c
-    return mu, nu, mu_den, nu_den
+    return mu, nu, key, mu_den, nu_den
 
 
-def _ratio_sort(nu, mu, band):
+def _ratio_sort(nu, mu, key, band):
     """The cells ``(nu, mu)`` in ascending exact order of ``nu / mu``, as two
-    lists, and their keys ``log(nu) - log(mu)``, ascending too, as a third;
-    each run of exactly tied cells is merged into one, which holds their sums.
+    lists, and their keys ``key``, ascending too, as a third; each run of
+    exactly tied cells is merged into one, which holds their sums.
 
     The float key only presorts; ``nu / mu`` as a float would overflow at
     deep levels.  Adjacent keys further apart than the guard band ``band``
@@ -91,7 +100,6 @@ def _ratio_sort(nu, mu, band):
     same cross-multiplications find the exact ties: tied cells have one
     ratio, so they are in ``A`` together or not at all.
     """
-    key = list(map(sub, map(log, nu), map(log, mu)))
     order = sorted(range(len(nu)), key=key.__getitem__)
     nu = list(map(nu.__getitem__, order))
     mu = list(map(mu.__getitem__, order))
@@ -152,32 +160,29 @@ def mim_masses(aprobs, bprobs, d, seed=(1, 1)):
                 f"depth {d} needs more than {MIM_MAX_CELLS} cells or {MIM_MAX_BITS} "
                 f"bits in one half of the product sweep"
             )
-    mu1, nu1, mud1, nud1 = _build_half(halves[0], seed)
+    mu1, nu1, key1, mud1, nud1 = _build_half(halves[0], seed)
     part = halves[1]  # streamed: the first classes to reach 2**10 cells times the rest
     cut = min(1 + sum(s < 1 << 10 for s in accumulate((c + 1 for _, c in part), mul)), len(part))
-    mui, nui, mdi, ndi = _build_half(part[:cut])
-    muo, nuo, mdo, ndo = _build_half(part[cut:])
-    mu_den = mud1 * mdi * mdo
-    nu_den = nud1 * ndi * ndo
+    mui, nui, key_i, mdi, ndi = _build_half(part[:cut])
+    muo, nuo, key_o, mdo, ndo = _build_half(part[cut:])
+    mu_den, nu_den = mud1 * mdi * mdo, nud1 * ndi * ndo
     band = GUARD * (1 + max(mu_den, nu_den).bit_length())
     shift = log(nu_den) - log(mu_den)
-    nu1, mu1, key1 = _ratio_sort(nu1, mu1, band)
+    nu1, mu1, key1 = _ratio_sort(nu1, mu1, key1, band)
     suf_mu = list(accumulate(reversed(mu1), initial=0))[::-1]
     del mu1
     suf_nu = list(accumulate(reversed(nu1), initial=0))[::-1]
     del nu1  # a half-1 cell is now suf[m] - suf[m + 1]
     key1.append(inf)  # key1[j] exists for every j that bisection returns
-    # A cell is in A iff nu1*nu2/nu_den > mu1*mu2/mu_den, that is iff its
-    # half-1 key exceeds t = shift - (outer key + inner key).  So its half-1
-    # partners in A are the sorted half 1 from j on: float bisection finds j
-    # unless a key lies within the band around t, and then exact bisection
-    # finds it among those keys.
-    key_i = list(map(sub, map(log, nui), map(log, mui)))
+    # A cell is in A iff nu1*nu2/nu_den > mu1*mu2/mu_den, iff its half-1 key
+    # exceeds t = shift - (outer key + inner key); its partners in A are the
+    # sorted half 1 from j on.  Float bisection finds j unless a key lies in
+    # the band around t, and then exact bisection finds it among those keys.
     lo_i = list(map(band.__add__, key_i))  # t - band is base - lo_i
     hi_i = list(map((-band).__add__, key_i))  # t + band is base - hi_i
     mu_num = nu_num = 0
-    for no, mo in zip(nuo, muo):
-        base = shift - (log(no) - log(mo))
+    for no, mo, ko in zip(nuo, muo, key_o):
+        base = shift - ko
         js = list(map(bisect_left, repeat(key1), map(base.__sub__, lo_i)))
         near = bytes(map(le, map(key1.__getitem__, js), map(base.__sub__, hi_i)))
         for i in compress(range(len(js)), near):

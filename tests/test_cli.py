@@ -331,3 +331,28 @@ def test_fuzz_dsl_text_through_main(text):
     if code == 0:
         printed = print_measure(parse(text))
         assert print_measure(parse(printed)) == printed
+
+
+def test_nesting_at_the_bound_and_one_deeper(capsys):
+    # 64 nested forms answer as they did before the bound, under the default
+    # recursion limit; 65 give the syntax-error document, not a traceback
+    mixture = "convex(1: " * 64 + "uniform" + ")" * 64
+    coded = "coded(" * 64 + "uniform" + "; 1)" * 64
+    assert run(capsys, "eval", mixture, "01") == (0, "1/4\n")
+    assert run(capsys, "gap", mixture, "dirac(0)", "8") == (0, "255/256\n")
+    assert run(capsys, "eval", coded, "01") == (0, "1/3\n")
+    assert run(capsys, "decode", coded, "1") == (0, "1\n")
+    for text, column in (("convex(1: " + mixture + ")", 641), ("coded(" + coded + "; 1)", 385)):
+        code, out = run(capsys, "eval", text, "01")
+        assert code == 2
+        assert out.splitlines() == [
+            "error: syntax-error",
+            "line: 1",
+            f"column: {column}",
+            "expected: uniform, dirac, product, table",
+            "message: mixtures and coded measures nest at most 64 deep",
+        ]
+    # encoding a code at the bound would print a text one level too deep
+    code, out = run(capsys, "encode", coded, "1")
+    assert code == 2
+    assert out == "error: semantic-error\nmessage: mixtures and coded measures nest at most 64 deep\n"

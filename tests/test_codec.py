@@ -11,6 +11,7 @@ from cmc import (
     NOT_YET_STABLE,
     NotInCodingDomain,
     ProductCode,
+    SemanticError,
     TableCode,
     Uniform,
     ZeroMass,
@@ -732,3 +733,26 @@ def test_decode_checks_no_string(monkeypatch, text):
         return len(calls)
 
     assert checks(512) == checks(2048) == 0
+
+
+def test_nesting_bound_in_the_library():
+    # mixtures and coded codes nest at most MAX_NESTING deep, so a code that
+    # exists reads under the default recursion limit
+    assert measures.MAX_NESTING == 64
+    code = Uniform()
+    for _ in range(64):
+        code = Convex([(F(1), code)])
+    assert code.nesting == 64 and code.mass("01") == F(1, 4)
+    with pytest.raises(SemanticError, match="^mixtures and coded measures nest at most 64 deep$"):
+        Convex([(F(1, 2), Uniform()), (F(1, 2), code)])
+    with pytest.raises(SemanticError, match="^mixtures and coded measures nest at most 64 deep$"):
+        encode(code, "1")
+    coded = Uniform()
+    for _ in range(64):
+        coded = encode(coded, "1")
+    assert coded.nesting == 64
+    assert (coded.mass("01"), decode(coded, 1)) == (F(1, 3), "1")
+    with pytest.raises(SemanticError, match="^mixtures and coded measures nest at most 64 deep$"):
+        encode(coded, "1")
+    # a finite support is a mixture of point masses: one level
+    assert FiniteSupport([("0", F(1))]).nesting == 1

@@ -233,3 +233,20 @@ def test_parser_outcomes_pinned():
     # every entry point both parses and diagnoses; parse also raises
     assert all(kinds[e.__name__, k] for e in _SHOW for k in "=D") and kinds["parse", "!"]
     assert sha.hexdigest()[:16] == "9d211b4b238039e6"
+
+
+@pytest.mark.parametrize("form, close", [("convex(1: ", ")"), ("coded(", "; 1)")])
+def test_nesting_bound_is_a_positioned_diagnostic(form, close):
+    # at the bound a text parses and prints under the default recursion
+    # limit; one level deeper (or far deeper) the innermost form is refused
+    at = form * 64 + "uniform" + close * 64
+    assert print_measure(parse(at)) == at
+    for n in (65, 250):
+        deeper = parse(form * n + "uniform" + close * n)
+        assert isinstance(deeper, Diagnostic)
+        assert (deeper.line, deeper.column) == (1, 1 + 64 * len(form))
+        assert deeper.message == "mixtures and coded measures nest at most 64 deep"
+        assert deeper.expected == ("uniform", "dirac", "product", "table")
+    # a finite support is a mixture of point masses, so it counts as a level
+    assert not isinstance(parse(form * 63 + "finite(0: 1)" + close * 63), Diagnostic)
+    assert isinstance(parse(form * 64 + "finite(0: 1)" + close * 64), Diagnostic)

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate, count, islice, repeat
-from math import comb
+from math import comb, log
 
 import pytest
 
@@ -229,8 +229,10 @@ def test_ratio_sort_exact_where_float_keys_tie():
     # the log keys all read 0.0; only the exact check tells the ratios apart
     mu = [10**30] * 3
     nu = [10**30 + 1, 10**30, 10**30 + 2]
+    key = [log(n) - log(m) for n, m in zip(nu, mu)]
+    assert key == [0.0] * 3
     band = GUARD * (1 + (10**30 + 2).bit_length())
-    assert _ratio_sort(nu, mu, band)[:2] == ([10**30, 10**30 + 1, 10**30 + 2], mu)
+    assert _ratio_sort(nu, mu, key, band)[:2] == ([10**30, 10**30 + 1, 10**30 + 2], mu)
 
 
 def _sweep_matches_brute(sa, sb, depths):
@@ -348,9 +350,9 @@ def test_sweep_bisects_near_ties_inside_the_band(monkeypatch):
     sort = productgap._ratio_sort
     half1 = []
 
-    def counted_sort(nu, mu, band):
+    def counted_sort(nu, mu, key, band):
         half1.append(len(nu))
-        nu, mu, key = sort(nu, mu, band)
+        nu, mu, key = sort(nu, mu, key, band)
         return list(map(Counted, nu)), list(map(Counted, mu)), key
 
     want = mim_masses(pc, pb, 60)
@@ -388,6 +390,26 @@ def test_streamed_half_matches_exact_reference():
     for xa, xb in ((pa, pb), (ka, kb)):
         assert mim_masses(xa, xb, 24) == _exact_sweep(xa, xb, 24)
         assert mim_masses(xb, xa, 24) == _exact_sweep(xb, xa, 24)
+
+
+def test_sweep_exact_ties_across_classes():
+    # each class has cell ratios 2**i and 2**-j (or their inverses), so cells
+    # built from different classes tie exactly, while their keys, summed
+    # per class from the logs of unequal weights, differ by rounding
+    pairs = _power_of_two_pairs()
+    random.Random(5).shuffle(pairs)
+    pa, pb = [a for a, _ in pairs[:24]], [b for _, b in pairs[:24]]
+    classes = [((a.as_integer_ratio(), b.as_integer_ratio()), 1) for a, b in zip(pa, pb)]
+    mu, nu, key, _, _ = productgap._build_half(classes[:16])
+    by_ratio = {}
+    for n, m, k in zip(nu, mu, key):
+        by_ratio.setdefault(F(n, m), set()).add(k)
+    assert len(by_ratio) < len(nu) // 8 and any(len(keys) > 1 for keys in by_ratio.values())
+    _sweep_matches_brute(ExplicitSchedule(pa, "cycle"), ExplicitSchedule(pb, "cycle"), range(0, 13))
+    _sweep_matches_brute(ExplicitSchedule(pb, "cycle"), ExplicitSchedule(pa, "cycle"), range(0, 13))
+    for d in (20, 24):
+        assert mim_masses(pa, pb, d) == _exact_sweep(pa, pb, d), d
+        assert mim_masses(pb, pa, d) == _exact_sweep(pb, pa, d), d
 
 
 def test_sweep_single_class_beyond_one_block():
@@ -464,8 +486,8 @@ def test_sweep_merges_exact_tie_runs(monkeypatch):
     sort = productgap._ratio_sort
     sizes = []
 
-    def recorded_sort(nu, mu, band):
-        out = sort(nu, mu, band)
+    def recorded_sort(nu, mu, key, band):
+        out = sort(nu, mu, key, band)
         sizes.append((len(nu), len(out[0])))
         return out
 
