@@ -50,6 +50,7 @@ from .codec import CodedMeasure, encode
 from .errors import Diagnostic, NotSerializable, SemanticError
 from .measures import (
     MAX_NESTING,
+    NESTING_ERROR,
     Convex,
     Dirac,
     FiniteSupport,
@@ -65,7 +66,6 @@ _BITS = re.compile(r"[01]*")
 _PAYLOAD = re.compile(r"0x[0-9a-fA-F]*|[01]*")
 
 _MEASURE_KEYWORDS = ("uniform", "dirac", "finite", "convex", "product", "table", "coded")
-_LEAVES = ("uniform", "dirac", "product", "table")  # the measures that nest no other
 _SCHEDULE_KEYWORDS = ("const", "ks", "list")
 
 
@@ -139,9 +139,9 @@ class _Parser:
         kw = self.keyword(_MEASURE_KEYWORDS)
         if kw == "uniform":
             return Uniform()
-        if kw not in _LEAVES and nesting == MAX_NESTING:
+        if kw in ("finite", "convex", "coded") and nesting == MAX_NESTING:
             self.pos -= len(kw)
-            self.fail(f"mixtures and coded measures nest at most {MAX_NESTING} deep", *_LEAVES)
+            self.fail(NESTING_ERROR, "uniform", "dirac", "product", "table")
         self.lit("(")
         if kw == "dirac":
             make, args = Dirac, [self.bits()]

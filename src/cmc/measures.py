@@ -29,6 +29,7 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 UNIFORM_SCHEDULE = ConstantSchedule(HALF)  # shared, so mixtures can match it
 MAX_NESTING = 64  # mixtures and coded codes nested in a code, at most
+NESTING_ERROR = f"mixtures and coded measures nest at most {MAX_NESTING} deep"
 
 
 def _check_unit(value, what="value"):
@@ -42,16 +43,15 @@ class MeasureCode:
     """Base class.  A code given by conditional ratios has ``_split``, which a
     cold cylinder descends by; any other code overrides ``_mass_raw``."""
 
-    nesting = 0  # mixtures and coded codes on the deepest path to a leaf
-
     def __init__(self):
+        self.nesting = 0  # mixtures and coded codes on the deepest path to a leaf
         self._memo = {}
         self._spine = None  # the codec's lazily grown splitting spine
 
     def _nest(self, children):
         self.nesting = 1 + max(child.nesting for child in children)
         if self.nesting > MAX_NESTING:
-            raise SemanticError(f"mixtures and coded measures nest at most {MAX_NESTING} deep")
+            raise SemanticError(NESTING_ERROR)
 
     def mass(self, s):
         try:

@@ -20,19 +20,21 @@ Ordering tests compare float keys first.  For an int ``n >= 1`` of ``b`` bits,
 when ``n`` overflows one, and adds ``e * log(2)``; with a libm ``log`` within
 one ulp its result is within ``2**-50 * (1 + b)`` of ``ln n``.  No cell
 numerator is logged: a cell's key, near ``log(nu) - log(mu)``, is the seed's
-key plus ``log(wb) - log(wa)`` of its weights in each class, and ``shift``
-logs the two denominators.  With ``G`` classes and ``B`` the larger
-denominator's bit length, ``G <= 44`` (``total <= 2**44``) and ``G < B`` (a
-class at least doubles a denominator).  No logged number has more bits than
-its factor of a denominator, so one measure's logs in the keys compared sum
-``b`` to at most ``B + G``.  The sort compares two half-1 keys' difference
-with the band, the sweep a half-1 key with ``(shift - outer key) - (inner key
-+- band)``: the logs in either err by at most ``12 * (1 + B) * 2**-50``, and
-at most 95 rounded operations (``2 * G + 7``; ``4 * 22 + 3`` in the sort) on
-floats below ``4 * (1 + B)`` by ``2**-51 * (1 + B)`` each.  So compared floats
-err by less than ``2**-44 * (1 + B)``, ``2**-14`` of the band ``GUARD * (1 +
-B)``: keys further apart are in exact order, closer ones (exact ties too) are
-cross-multiplied, and a float never decides which cells are in ``A``.
+key plus ``k * g0 + (c - k) * g1`` for each class ``((a0, ad), (b0, bd))`` of
+``c`` coordinates, ``k`` of them 0, with ``g0 = log(b0) - log(a0)`` and ``g1 =
+log(bd - b0) - log(ad - a0)``; ``shift`` logs the denominators.  There are ``G
+<= 44`` classes (``total <= 2**44``), and each coordinate adds a bit or more
+to ``B``, the larger denominator's bit length, so ``G < B``.  A log of ``p``
+taken ``k`` times errs by ``k * (1 + bits(p)) <= bits(p**k) + 2 * k`` units of
+``2**-50``; as ``b0**k * (bd - b0)**(c - k) <= bd**c``, one measure's class
+logs in a key err by ``3 * (B + G)`` units at most.  With the seed's and
+``shift``'s, the logs in a sweep comparison err by under ``16 * (1 + B)``
+units, in a sort comparison of two half-1 keys by ``28 * (1 + B)``.  At most
+271 rounded operations (``6 * G + 7``) on floats below ``16 * (1 + B)`` add
+``2**-49 * (1 + B)`` each, so compared floats err by less than ``2**-40 * (1 +
+B)``, ``2**-10`` of the band ``GUARD * (1 + B)``: keys further apart are in
+exact order, closer ones (exact ties too) are cross-multiplied, and a float
+never decides which cells are in ``A``.
 
 ``tv_upper_bound`` gives a sound rational upper bound on the depth-d gap for
 every depth at once, via the product of per-coordinate Bhattacharyya
@@ -44,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
-from math import comb, inf, isqrt, log, prod
+from math import inf, isqrt, log, prod
 from operator import le, mul, sub
 
 from .dyadic import affinity_bounds, sqrt_bounds
@@ -60,8 +62,6 @@ def _weights(c, *pairs):
     """Per pair ``(p, q)``, ``comb(c, k) * p**k * q**(c - k)`` for ``k = c, ..., 0``."""
     if c == 1:
         return pairs
-    if c <= 32:  # fresh powers cost less than running products in a small class
-        return [[comb(c, k) * p**k * q ** (c - k) for k in range(c, -1, -1)] for p, q in pairs]
     cs = list(accumulate(range(c, 0, -1), lambda b, j: b * j // (c + 1 - j), initial=1))
     powers = lambda x: accumulate(repeat(x, c), mul, initial=1)
     return [list(map(mul, cs, map(mul, reversed([*powers(p)]), powers(q)))) for p, q in pairs]
@@ -77,9 +77,9 @@ def _build_half(classes, seed=(1, 1)):
         wa, wb = _weights(c, (a0, ad - a0), (b0, bd - b0))
         mu = [x * w for w in wa for x in mu]
         nu = [x * w for w in wb for x in nu]
-        key = [x + g for g in map(sub, map(log, wb), map(log, wa)) for x in key]
-        mu_den *= ad**c
-        nu_den *= bd**c
+        g0, g1 = log(b0) - log(a0), log(bd - b0) - log(ad - a0)  # comb(c, k) cancels
+        key = [x + g for g in [k * g0 + (c - k) * g1 for k in range(c, -1, -1)] for x in key]
+        mu_den, nu_den = mu_den * ad**c, nu_den * bd**c
     return mu, nu, key, mu_den, nu_den
 
 

@@ -394,17 +394,14 @@ def test_streamed_half_matches_exact_reference():
 
 def test_sweep_exact_ties_across_classes():
     # each class has cell ratios 2**i and 2**-j (or their inverses), so cells
-    # built from different classes tie exactly, while their keys, summed
-    # per class from the logs of unequal weights, differ by rounding
+    # built from different classes tie exactly, while their keys, summed per
+    # class from the logs of unequal weights, may differ by rounding
     pairs = _power_of_two_pairs()
     random.Random(5).shuffle(pairs)
     pa, pb = [a for a, _ in pairs[:24]], [b for _, b in pairs[:24]]
     classes = [((a.as_integer_ratio(), b.as_integer_ratio()), 1) for a, b in zip(pa, pb)]
-    mu, nu, key, _, _ = productgap._build_half(classes[:16])
-    by_ratio = {}
-    for n, m, k in zip(nu, mu, key):
-        by_ratio.setdefault(F(n, m), set()).add(k)
-    assert len(by_ratio) < len(nu) // 8 and any(len(keys) > 1 for keys in by_ratio.values())
+    mu, nu, _, _, _ = productgap._build_half(classes[:16])
+    assert len(set(map(F, nu, mu))) < len(nu) // 8
     _sweep_matches_brute(ExplicitSchedule(pa, "cycle"), ExplicitSchedule(pb, "cycle"), range(0, 13))
     _sweep_matches_brute(ExplicitSchedule(pb, "cycle"), ExplicitSchedule(pa, "cycle"), range(0, 13))
     for d in (20, 24):
