@@ -3,6 +3,7 @@
 Run from the repository root as
 
     PYTHONPATH=src python tests/exactness_digest.py
+    PYTHONPATH=src python tests/exactness_digest.py metrics gaps
     PYTHONPATH=src python tests/exactness_digest.py --dump spines spines.tsv
 
 Each group hashes the ``repr`` of every result (``Fraction``, ``Violation``,
@@ -11,7 +12,9 @@ after a label naming the code and the query.  Two trees that print the same
 line for a group give the same exact results there.  Each line is compared
 with the one recorded in ``EXPECTED``; the script exits 1 and names every
 group that differs, so this one command is the exactness gate.  A change
-that alters exact results on purpose records the new lines there.  With
+that alters exact results on purpose records the new lines there.  Group
+names on the command line check only those groups; with none, every group
+runs.  With
 ``--dump GROUP FILE`` only that group runs, and it also writes each entry
 to FILE as one ``label<TAB>outcome`` line, exactly the text it hashes, so
 the entries of two trees can be compared with ``diff``.  Pytest
@@ -50,6 +53,9 @@ does not collect this file; it imports its codes from the test modules and the
   itself.  The builds share one cache of certificate searches keyed by the
   ``repr`` of both codes, epsilon and depth, so each pair is searched once
   in the group; a build still makes its own choices.
+- ``metrics``: ``metric_bracket`` over every ordered pair of the 7
+  ``cell-walk`` codes of seeds 1-3 and both orders of the golden pairs, at
+  N = 0, 1, 2, 3, 6, 7, 8, 100, 1023 and 2047.
 """
 
 import argparse
@@ -78,6 +84,7 @@ from cmc import (  # noqa: E402
     density_limit,
     encode,
     extend_family,
+    metric_bracket,
     ks_schedule,
     offspine_decomposition,
     ortho_certificate,
@@ -272,6 +279,7 @@ def classes():
 
 
 SCAN_DEPTHS = (0, 1, 2, 3, 5, 8, 12)
+METRIC_LENGTHS = (0, 1, 2, 3, 6, 7, 8, 100, 1023, 2047)
 
 EXPECTED = {
     "gaps": "gaps: 3341 results, sha256 31b9ee4659e3c19a",
@@ -280,6 +288,7 @@ EXPECTED = {
     "classes": "classes: 20649 results, sha256 1aca7d038f5ca4b3",
     "scans": "scans: 6461 results, sha256 a390963562ab8ac5",
     "families": "families: 438 results, sha256 c6dcf70166b8d53c",
+    "metrics": "metrics: 1590 results, sha256 bef364c23343b6cb",
 }
 
 
@@ -353,7 +362,15 @@ def families():
     return out
 
 
-GROUPS = (gaps, masses, spines, classes, scans, families)
+def metrics():
+    out = Digest()
+    for label, f, g in _pairs(range(1, 4)):
+        for n in METRIC_LENGTHS:
+            out.add(f"{label} metric {n}", lambda: metric_bracket(f, g, n))
+    return out
+
+
+GROUPS = (gaps, masses, spines, classes, scans, families, metrics)
 
 
 def _check(groups):
@@ -377,14 +394,20 @@ def main(argv=None):
         metavar=("GROUP", "FILE"),
         help="run only GROUP and write each of its entries to FILE as label<TAB>outcome",
     )
+    parser.add_argument("groups", nargs="*", metavar="GROUP", help="check only these groups")
     args = parser.parse_args(argv)
+    names = args.groups
+    if args.dump is not None:
+        if names:
+            parser.error("--dump runs one group; give no other group names with it")
+        names = args.dump[:1]
+    for name in names:
+        if name not in EXPECTED:
+            parser.error(f"unknown group {name!r}; the groups are {', '.join(EXPECTED)}")
+    groups = [group for group in GROUPS if not names or group.__name__ in names]
     if args.dump is None:
-        return _check(GROUPS)
-    name, path = args.dump
-    groups = [group for group in GROUPS if group.__name__ == name]
-    if not groups:
-        parser.error(f"unknown group {name!r}; the groups are {', '.join(EXPECTED)}")
-    with open(path, "w", encoding="utf-8") as Digest.dump:
+        return _check(groups)
+    with open(args.dump[1], "w", encoding="utf-8") as Digest.dump:
         return _check(groups)
 
 

@@ -387,13 +387,14 @@ def _per_term_bracket(f, g, N):
     return lo, lo + F(1, 1 << N)
 
 
-@pytest.mark.parametrize("N", [0, 1, 2047])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 6, 7, 8, 300, 2047])
 def test_metric_bracket_matches_per_term_sum(N):
     table = "table(2; 0=1/3, 00=1/4, 10=1/2)"
     texts = [
         (table, "table(3; 0=3/5, 01=1/5, 101=1/7)"),
         ("convex(1/3: uniform, 2/3: dirac(01))", "finite(000: 1/2, 001: 1/4, 1: 1/4)"),
         (table, f"coded({table}; 101)"),
+        ("dirac(0110)", table),  # a point mass keeps no memo
     ]
     for x, y in texts:
         f, g = parse(x), parse(y)
@@ -401,6 +402,20 @@ def test_metric_bracket_matches_per_term_sum(N):
         assert metric_bracket(g, f, N) == metric_bracket(f, g, N)
         for code in (f, g):
             assert metric_bracket(code, code, N) == (0, F(1, 1 << N))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 6, 7, 8, 300])
+def test_metric_bracket_reads_each_string_once_in_shortlex_order(N):
+    for x, y in [
+        ("table(2; 0=1/3, 00=1/4, 10=1/2)", "coded(uniform; 101)"),
+        ("dirac(01)", "finite(0: 1/2, 11: 1/2)"),
+    ]:
+        f, g = parse(x), parse(y)
+        reads = [], []
+        for code, log in zip((f, g), reads):
+            code._read = lambda s, read=code._read, log=log: log.append(s) or read(s)
+        metric_bracket(f, g, N)
+        assert reads == ([shortlex_string(n) for n in range(N)],) * 2
 
 
 def test_enumerate_dense_first_members():
