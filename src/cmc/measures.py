@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import bits
-from .bits import check_bitstring, check_natural, shortlex_string
+from .bits import check_bitstring, check_natural
 from .errors import Record, SemanticError
 from .schedules import ConstantSchedule, Schedule
 
@@ -351,17 +351,25 @@ def metric_bracket(f, g, N):
 
     Returns ``(lo, hi)`` with ``lo`` the exact partial sum over the first ``N``
     strings and ``hi = lo + 2**-N`` (the tail is at most the remaining
-    geometric mass).  An ``ExactSum`` adds the terms over ``2**N`` times the
-    product of the two masses' denominators: the weight ``2**-(n+1)`` is a
-    left shift of the numerator.
+    geometric mass).  Each code reads each string once, level by level in
+    shortlex order, each level built from the one above.  A nonzero term,
+    shifted left by ``N-1-n`` bits, joins the total over its denominator (the
+    product of the two masses' denominators); one ``Fraction`` over ``2**N``
+    times their lcm is the sum.
     """
     check_natural(N, "N")
-    total = ExactSum()
-    for n in range(N):
-        s = shortlex_string(n)
-        (an, ad), (bn, bd) = f._read(s).as_integer_ratio(), g._read(s).as_integer_ratio()
-        total.add(abs(an * bd - bn * ad) << (N - 1 - n), ad * bd)
-    lo = total.value() / (1 << N)
+    totals, level, n = {}, [""][:N], 0
+    while level:
+        for n, s in enumerate(level, n):
+            (an, ad), (bn, bd) = f._read(s).as_integer_ratio(), g._read(s).as_integer_ratio()
+            diff = an * bd - bn * ad
+            if diff:
+                d = ad * bd
+                totals[d] = totals.get(d, 0) + (abs(diff) << (N - 1 - n))
+        n += 1  # the strings read so far
+        level = [t + c for t in level[: (N - n + 1) // 2] for c in "01"][: N - n]
+    den = lcm(*totals)
+    lo = Fraction(sum(num * (den // d) for d, num in totals.items()), den << N)
     return lo, lo + Fraction(1, 1 << N)
 
 
