@@ -492,14 +492,35 @@ def test_off_branch_reads_answer_within_a_small_budget():
     # splitting, so a budget of 1 ends every search below the root
     f = FiniteSupport([("0111", F(1, 2)), ("1101", F(1, 2))])
     assert encode(f, "1", 1).mass("1101") == encode(f, "1", 64).mass("1101") == F(1, 3)
+    # a one-bit payload stamps the root only, so no read searches below it;
+    # a second bit needs the next node, which the budget refuses
+    assert encode(f, "1", 1).mass("01110") == encode(f, "1", 64).mass("01110") == F(2, 3)
     with pytest.raises(BudgetExceeded, match="^no splitting node extending '0' within 1 levels$"):
-        encode(f, "1", 1).mass("01110")
+        encode(f, "11", 1).mass("01110")
     # the point mass's branch never splits; the table side is uniform
     base = parse("convex(1/2: dirac(0), 1/2: table(1; 0=0))")
     assert encode(base, "1", 1).product_below("1000") is UNIFORM_SCHEDULE
     assert encode(base, "1", 64).product_below("1000") is UNIFORM_SCHEDULE
+    assert encode(base, "1", 1).product_below("0000") is None
     with pytest.raises(BudgetExceeded, match="^no splitting node extending '0' within 1 levels$"):
-        encode(base, "1", 1).product_below("0000")
+        encode(base, "11", 1).product_below("0000")
+
+
+def test_finite_payload_stops_the_cursor_at_its_last_stamped_node(monkeypatch):
+    # every cylinder of the table splits, so its spine runs down the zeros
+    # one node per level; a one-bit payload stamps the root only, so a long
+    # read down that branch steps the cursor past the root and no further
+    steps, step = [], codec._SpineCache._step
+
+    def counted(self, budget):
+        steps.append(self.cursor)
+        return step(self, budget)
+
+    monkeypatch.setattr(codec._SpineCache, "_step", counted)
+    g = parse("coded(table(40000; 0=1/2); 1)")
+    assert g.mass("0" * 40000) == F(2, 3) / 2**39999
+    assert g.base._spine.nodes == [""]
+    assert len(steps) <= 2
 
 
 @pytest.mark.parametrize("budget", [1, 2])
