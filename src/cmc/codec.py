@@ -130,9 +130,8 @@ class CodedMeasure(MeasureCode):
         """Index of ``s`` in the base's spine, or None.  Moves the base's
         spine cursor only while ``s`` extends it: every node not yet found
         extends the cursor, so once the cursor is gone, longer than ``s`` or
-        off the branch of ``s``, the nodes found decide.  A finite payload
-        stops the cursor at its last stamped node, as no later node is
-        stamped."""
+        off the branch of ``s``, the nodes found decide.  No node past a
+        finite payload's last stamped one is stamped, so the cursor stops there."""
         cache, bits = _spine_cache(self.base), self.payload_bits
         while cache.cursor is not None and s.startswith(cache.cursor):
             if bits is not None and len(cache.nodes) >= len(bits):
