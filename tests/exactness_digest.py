@@ -84,8 +84,8 @@ from cmc import (  # noqa: E402
     density_limit,
     encode,
     extend_family,
-    metric_bracket,
     ks_schedule,
+    metric_bracket,
     offspine_decomposition,
     ortho_certificate,
     parse,

@@ -472,9 +472,8 @@ def test_dead_spine_texts():
         spine(f, 2, budget=2)
 
 
-def test_off_branch_read_stops_the_cursor(monkeypatch):
-    # the uniform spine runs down the zeros; a read down the ones leaves it
-    # below the root, so the cursor steps once, not once per level
+def _counted_steps(monkeypatch):
+    """The cursor at each ``_SpineCache._step`` call from now on."""
     steps, step = [], codec._SpineCache._step
 
     def counted(self, budget):
@@ -482,6 +481,13 @@ def test_off_branch_read_stops_the_cursor(monkeypatch):
         return step(self, budget)
 
     monkeypatch.setattr(codec._SpineCache, "_step", counted)
+    return steps
+
+
+def test_off_branch_read_stops_the_cursor(monkeypatch):
+    # the uniform spine runs down the zeros; a read down the ones leaves it
+    # below the root, so the cursor steps once, not once per level
+    steps = _counted_steps(monkeypatch)
     g = parse("coded(uniform; 0x5)")
     assert eval_cylinder(g, "1" * 600) == F(2, 3) / 2**599  # payload bit 0 is 0
     assert len(steps) <= 2
@@ -502,6 +508,7 @@ def test_off_branch_reads_answer_within_a_small_budget():
     assert encode(base, "1", 1).product_below("1000") is UNIFORM_SCHEDULE
     assert encode(base, "1", 64).product_below("1000") is UNIFORM_SCHEDULE
     assert encode(base, "1", 1).product_below("0000") is None
+    assert encode(base, "1", 64).product_below("0000") is None
     with pytest.raises(BudgetExceeded, match="^no splitting node extending '0' within 1 levels$"):
         encode(base, "11", 1).product_below("0000")
 
@@ -510,13 +517,7 @@ def test_finite_payload_stops_the_cursor_at_its_last_stamped_node(monkeypatch):
     # every cylinder of the table splits, so its spine runs down the zeros
     # one node per level; a one-bit payload stamps the root only, so a long
     # read down that branch steps the cursor past the root and no further
-    steps, step = [], codec._SpineCache._step
-
-    def counted(self, budget):
-        steps.append(self.cursor)
-        return step(self, budget)
-
-    monkeypatch.setattr(codec._SpineCache, "_step", counted)
+    steps = _counted_steps(monkeypatch)
     g = parse("coded(table(40000; 0=1/2); 1)")
     assert g.mass("0" * 40000) == F(2, 3) / 2**39999
     assert g.base._spine.nodes == [""]
