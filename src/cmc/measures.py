@@ -267,13 +267,14 @@ class Uniform(TableCode):
 class ExactSum(dict):
     """An exact sum of rationals ``n / d``, ``d > 0``, kept as the total
     numerator per denominator: a term pays no gcd, and ``value`` builds one
-    ``Fraction`` per distinct denominator."""
+    ``Fraction`` over the lcm of the denominators."""
 
     def add(self, n, d):
         self[d] = self.get(d, 0) + n
 
     def value(self):
-        return sum((Fraction(n, d) for d, n in self.items()), ZERO)
+        den = lcm(*self)
+        return Fraction(sum(n * (den // d) for d, n in self.items()), den)
 
 
 def eval_cylinder(code, s):
@@ -353,23 +354,20 @@ def metric_bracket(f, g, N):
     strings and ``hi = lo + 2**-N`` (the tail is at most the remaining
     geometric mass).  Each code reads each string once, level by level in
     shortlex order, each level built from the one above.  A nonzero term,
-    shifted left by ``N-1-n`` bits, joins the total over its denominator (the
-    product of the two masses' denominators); one ``Fraction`` over ``2**N``
-    times their lcm is the sum.
+    shifted left by ``N-1-n`` bits, joins one :class:`ExactSum` over the
+    product of the two masses' denominators, divided by ``2**N`` at the end.
     """
     check_natural(N, "N")
-    totals, level, n = {}, [""][:N], 0
+    total, level, n = ExactSum(), [""][:N], 0
     while level:
         for n, s in enumerate(level, n):
             (an, ad), (bn, bd) = f._read(s).as_integer_ratio(), g._read(s).as_integer_ratio()
             diff = an * bd - bn * ad
             if diff:
-                d = ad * bd
-                totals[d] = totals.get(d, 0) + (abs(diff) << (N - 1 - n))
+                total.add(abs(diff) << (N - 1 - n), ad * bd)
         n += 1  # the strings read so far
         level = [t + c for t in level[: (N - n + 1) // 2] for c in "01"][: N - n]
-    den = lcm(*totals)
-    lo = Fraction(sum(num * (den // d) for d, num in totals.items()), den << N)
+    lo = total.value() / (1 << N)
     return lo, lo + Fraction(1, 1 << N)
 
 
