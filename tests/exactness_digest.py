@@ -56,6 +56,15 @@ does not collect this file; it imports its codes from the test modules and the
 - ``metrics``: ``metric_bracket`` over every ordered pair of the 7
   ``cell-walk`` codes of seeds 1-3 and both orders of the golden pairs, at
   N = 0, 1, 2, 3, 6, 7, 8, 100, 1023 and 2047.
+- ``branches``: deep spine reads.  Six bases (``uniform``, a constant
+  product, ``table(300; 0=1/2)``, a coded code over a coded one, a mixture
+  with a point mass and a finite support whose branch turns) each encoded
+  with payloads of 1, 16 and 64 bits, ``ZEROS`` and ``PeriodicBits("", "10")``
+  at budgets 1, 8 and 64: coded masses and ``product_below`` of each prefix
+  of the base's leftmost branch of positive mass and of its sibling, at every
+  level to 300, ``decode`` for k = 0..64, ``spine`` of both codes at 64,
+  ``density_limit`` of those prefixes and siblings and
+  ``offspine_decomposition`` of the base, to depth 300.
 """
 
 import argparse
@@ -95,7 +104,7 @@ from cmc import (  # noqa: E402
     spine,
     validate_additivity,
 )
-from cmc.bits import all_strings_of_length  # noqa: E402
+from cmc.bits import ZEROS, PeriodicBits, all_strings_of_length  # noqa: E402
 from cmc import orthogonality  # noqa: E402
 from cmc.codec import CodedMeasure  # noqa: E402
 from cmc.orthogonality import _masses_above  # noqa: E402
@@ -289,6 +298,7 @@ EXPECTED = {
     "scans": "scans: 6461 results, sha256 a390963562ab8ac5",
     "families": "families: 438 results, sha256 c6dcf70166b8d53c",
     "metrics": "metrics: 1590 results, sha256 bef364c23343b6cb",
+    "branches": "branches: 195390 results, sha256 bb7c16a1d8e1ff98",
 }
 
 
@@ -370,7 +380,57 @@ def metrics():
     return out
 
 
-GROUPS = (gaps, masses, spines, classes, scans, families, metrics)
+BRANCH_DEPTH = 300
+BRANCH_CASES = {
+    "uniform": Uniform,
+    "const": lambda: ProductCode(ConstantSchedule(F(1, 3))),
+    "table": lambda: parse("table(300; 0=1/2)"),
+    "coded-coded": lambda: encode(encode(Uniform(), "1101"), "01"),
+    "mix-dirac": lambda: parse("convex(1/2: uniform, 1/2: dirac(0))"),
+    "finite": lambda: FiniteSupport([("0111", F(1, 2)), ("1101", F(1, 4)), ("01100", F(1, 4))]),
+}
+
+
+def _branch(code, depth):
+    """The first ``depth`` bits of the leftmost branch of positive mass of
+    ``code``, padded with zeros where it ends."""
+    s = ""
+    while len(s) < depth:
+        s += "0" if code.mass(s + "0") > 0 or not code.mass(s + "1") else "1"
+    return s
+
+
+def branches():
+    out = Digest()
+    rng = random.Random(28)
+    payloads = {n: "".join(rng.choice("01") for _ in range(n)) for n in (1, 16, 64)}
+    payloads |= {"zeros": ZEROS, "10*": PeriodicBits("", "10")}
+    for name, make in BRANCH_CASES.items():
+        branch = _branch(make(), BRANCH_DEPTH)
+        cells = [branch[:n] for n in range(BRANCH_DEPTH + 1)]
+        cells += [s[:-1] + ("1" if s[-1] == "0" else "0") for s in cells[1:]]  # the siblings
+        for key, payload in payloads.items():
+            for budget in (1, 8, 64):
+                label = f"{name} {key}@{budget}"
+                coded = encode(make(), payload, budget)
+                for s in cells:
+                    out.add(f"{label} coded {s}", lambda: coded.mass(s))
+                    out.add(f"{label} coded product_below {s}", lambda: coded.product_below(s))
+                for k in range(65):
+                    out.add(f"{label} decode {k}", lambda: decode(coded, k, budget))
+                for code in (coded, coded.base):
+                    out.add(f"{label} spine {code is coded}", lambda: spine(code, 64, budget).nodes)
+                for s in cells:
+                    out.add(f"{label} density_limit {s}", lambda: density_limit(coded, s))
+                for d in range(BRANCH_DEPTH + 1):
+                    out.add(
+                        f"{label} offspine {d}",
+                        lambda: offspine_decomposition(coded.base, d, budget),
+                    )
+    return out
+
+
+GROUPS = (gaps, masses, spines, classes, scans, families, metrics, branches)
 
 
 def _check(groups):
