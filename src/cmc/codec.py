@@ -6,15 +6,16 @@ t_k + '0'`` yields the spine; the encoder rescales the two children at the
 k-th spine node to an exact 2/3-1/3 split oriented by the k-th payload bit and
 leaves all other conditional masses unchanged, so the zero sets (and hence the
 measure class) of the base are preserved.  The decoder recomputes the spine
-and reads the orientation back off the exact ratios.  The spine is found by
-one cursor down the leftmost branch of positive mass (``_SpineCache``).
+and reads the orientation back off the exact ratios, memoizing no node.  The
+spine is found by one cursor down the leftmost branch of positive mass and
+held once, as that branch and the depths of its nodes (``_SpineCache``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bits import BitSequence, check_bitstring, check_natural
+from .bits import BitSequence, check_bitstring, check_natural, sibling
 from .errors import BudgetExceeded, NotInCodingDomain, Record, ZeroMass
 from .measures import MeasureCode, ZERO
 
@@ -22,39 +23,40 @@ DEFAULT_BUDGET = 65536
 
 
 class _SpineCache:
-    """Lazily grown spine of one measure code.
+    """Lazily grown spine of one measure code, held once as ``path``.
 
-    A cursor walks the leftmost branch of positive mass below ``start``, the
-    search start (the root, then ``t_k + '0'``).  A node that does not split
-    has at most one child of positive mass, so the branch has one string per
-    level; it turns to ``'0'`` at every spine node, and the cursor is None
-    where it ends.  Every node not yet found extends the cursor.  The walk
-    resumes where the last query left it, carries only the sign of the
-    cursor's mass (positive below the root) and memoizes nothing.
+    A cursor walks the leftmost branch of positive mass below the search
+    start, one level past the last node found (the root before any).  A node
+    that does not split has at most one child of positive mass, so the branch
+    has one string per level; it turns to ``'0'`` at every node, and ``path``
+    runs from the root to the cursor.  ``depths`` lists the node lengths, each
+    node being that prefix of ``path``, ``index`` maps each to its place and
+    ``ended`` marks a branch that ends.  The walk resumes where the last query
+    left it, carries only the sign of the cursor's mass and memoizes nothing.
     """
 
     def __init__(self, code):
         self.code = code
-        self.nodes = []
-        self.index = {}
-        self.start = self.cursor = ""
+        self.path, self.depths, self.index, self.ended = "", [], {}, False
         self.positive = code._mass_raw("").numerator > 0  # the sign of the cursor's mass
 
     def _step(self, budget):
         """Move the cursor one level down, recording it as the next node if
-        it splits; BudgetExceeded once it is over ``budget`` levels past
-        ``start``."""
-        t = self.cursor
-        if len(t) - len(self.start) > budget:
+        it splits; BudgetExceeded once it is over ``budget`` levels past the
+        search start."""
+        t = self.path
+        start = self.depths[-1] + 1 if self.depths else 0
+        if len(t) - start > budget:
             raise BudgetExceeded(
-                f"no splitting node extending {self.start!r} within {budget} levels"
+                f"no splitting node extending {t[:start]!r} within {budget} levels"
             )
-        left, right = self._child(t + "0"), self._child(t + "1")
+        children = t + "0", t + "1"
+        left, right = map(self._child, children)
         if left and right:
-            self.index[t] = len(self.nodes)
-            self.nodes.append(t)
-            self.start = t + "0"
-        self.cursor = t + "0" if left else t + "1" if right else None
+            self.index[len(t)] = len(self.depths)
+            self.depths.append(len(t))
+        self.ended = not (left or right)
+        self.path = t if self.ended else children[0 if left else 1]
         self.positive = True
 
     def _child(self, c):
@@ -68,11 +70,9 @@ class _SpineCache:
         """Search on until at least ``count`` nodes are known and, when
         ``length`` is given, the last of them is at least that long; raises
         BudgetExceeded where the spine ends."""
-        nodes = self.nodes
-        while len(nodes) < count or (
-            length is not None and (not nodes or len(nodes[-1]) < length)
-        ):
-            if self.cursor is None:
+        depths = self.depths
+        while len(depths) < count or (length is not None and (not depths or depths[-1] < length)):
+            if self.ended:
                 raise BudgetExceeded("spine ended: no further splitting node")
             self._step(budget)
 
@@ -99,7 +99,7 @@ def spine(code, n, budget=DEFAULT_BUDGET):
     check_natural(n, "spine index")
     cache = _spine_cache(code)
     cache.extend(check_natural(budget, "budget"), count=n + 1)
-    return SplittingSpine(tuple(cache.nodes[: n + 1]), code)
+    return SplittingSpine(tuple(cache.path[:d] for d in cache.depths[: n + 1]), code)
 
 
 class CodedMeasure(MeasureCode):
@@ -129,15 +129,15 @@ class CodedMeasure(MeasureCode):
     def _spine_index_of(self, s):
         """Index of ``s`` in the base's spine, or None.  Moves the base's
         spine cursor only while ``s`` extends it: every node not yet found
-        extends the cursor, so once the cursor is gone, longer than ``s`` or
-        off the branch of ``s``, the nodes found decide.  No node past a
-        finite payload's last stamped one is stamped, so the cursor stops there."""
+        extends the cursor, so once it has ended, is longer than ``s`` or is
+        off the branch of ``s``, the nodes found decide.  No node past a finite
+        payload's last stamped one is stamped, so the cursor stops there."""
         cache, bits = _spine_cache(self.base), self.payload_bits
-        while cache.cursor is not None and s.startswith(cache.cursor):
-            if bits is not None and len(cache.nodes) >= len(bits):
+        while not cache.ended and s.startswith(cache.path):
+            if bits is not None and len(cache.depths) >= len(bits):
                 break
             cache._step(self.budget)
-        return cache.index.get(s)
+        return cache.index.get(len(s)) if cache.path.startswith(s) else None
 
     def _split(self, s, i, positive):
         """The stamped 2/3-1/3 split at a stamped spine node, else the base's
@@ -161,14 +161,16 @@ class CodedMeasure(MeasureCode):
 
     def product_below(self, s):
         """The base's schedule below ``s`` once no stamped spine node extends
-        ``s``.  Past ``_spine_index_of(s)`` the cursor is gone, longer than
-        ``s`` or off its branch, and every node not yet known extends it."""
+        ``s``.  Past ``_spine_index_of(s)`` the cursor has ended, is longer
+        than ``s`` or is off its branch, and every node not yet known extends it."""
         self._spine_index_of(s)
         cache, bits = _spine_cache(self.base), self.payload_bits
-        ends = cache.nodes[: None if bits is None else len(bits)][-1:]  # the last stamped node
-        if cache.cursor is not None and (bits is None or len(cache.nodes) < len(bits)):
-            ends.append(cache.cursor)
-        return None if any(t.startswith(s) for t in ends) else self.base.product_below(s)
+        stamped = cache.depths[: None if bits is None else len(bits)]
+        reach = stamped[-1] if stamped else -1  # the last stamped node's length
+        if not cache.ended and (bits is None or len(cache.depths) < len(bits)):
+            reach = len(cache.path)  # the cursor's, which every node not yet found extends
+        on_spine = len(s) <= reach and cache.path.startswith(s)
+        return None if on_spine else self.base.product_below(s)
 
     def __repr__(self):
         return f"CodedMeasure({self.base!r}, {self.payload!r}, budget={self.budget})"
@@ -186,17 +188,20 @@ def decode(g, k, budget=DEFAULT_BUDGET):
     """First ``k`` payload bits read off the spine of ``g``.
 
     Raises NotInCodingDomain at the first spine node where neither exact
-    ratio pattern holds.
+    ratio pattern holds.  The ratios are read by the code's rule, else from
+    unmemoized masses, so no node is memoized.
     """
     check_natural(k, "k")
     cache = _spine_cache(g)
     cache.extend(check_natural(budget, "budget"), count=k)
     out = []
-    for n, node in enumerate(cache.nodes[:k]):
-        gm, c0, c1 = g._read(node), g._read(node + "0"), g._read(node + "1")
-        if 3 * c0 == 2 * gm and 3 * c1 == gm:
+    for n, depth in enumerate(cache.depths[:k]):
+        node = cache.path[:depth]
+        ratio = lambda c: g._split(c, depth + 1, True) or (g._mass_raw(c), g._mass_raw(node))
+        (a, b), (c, d) = ratio(node + "0"), ratio(node + "1")
+        if 3 * a == 2 * b and 3 * c == d:
             out.append("1")
-        elif 3 * c0 == gm and 3 * c1 == 2 * gm:
+        elif 3 * a == b and 3 * c == 2 * d:
             out.append("0")
         else:
             raise NotInCodingDomain(n, node)
@@ -247,9 +252,7 @@ def density_limit(g, prefix):
         raise TypeError("density_limit is defined for encoded measures")
     cache = _spine_cache(g.base)
     cache.extend(g.budget, length=len(check_bitstring(prefix)))
-    if cache.nodes[-1][: len(prefix)] == prefix:
-        return NOT_YET_STABLE
-    return Stabilized(density(g, prefix))
+    return NOT_YET_STABLE if cache.path.startswith(prefix) else Stabilized(density(g, prefix))
 
 
 def offspine_decomposition(code, depth, budget=DEFAULT_BUDGET):
@@ -261,7 +264,4 @@ def offspine_decomposition(code, depth, budget=DEFAULT_BUDGET):
         return []
     cache = _spine_cache(code)
     cache.extend(check_natural(budget, "budget"), length=depth)
-    path = cache.nodes[-1][:depth]
-    return [
-        path[: j - 1] + ("1" if path[j - 1] == "0" else "0") for j in range(1, depth + 1)
-    ]
+    return [sibling(cache.path[:j]) for j in range(1, depth + 1)]

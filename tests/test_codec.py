@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +29,7 @@ from cmc import (
 )
 from cmc import codec, measures, parse, print_measure
 from cmc.codec import CodedMeasure, Stabilized
-from cmc.bits import PeriodicBits, all_strings_of_length
+from cmc.bits import ZEROS, PeriodicBits, all_strings_of_length
 from cmc.measures import UNIFORM_SCHEDULE, MeasureCode, Violation
 from cmc.schedules import ConstantSchedule, ExplicitSchedule, Schedule, ks_schedule
 
@@ -361,8 +362,15 @@ class _FrontierSpine:
                     raise BudgetExceeded("spine ended: no further splitting node")
                 return
 
-    def path(self, length):
-        return next(t[:length] for t in self.nodes if len(t) >= length)
+    # the cursor cache's views, which ``spine`` and ``decode`` read: every
+    # node is a prefix of the last one
+    @property
+    def path(self):
+        return self.nodes[-1] if self.nodes else ""
+
+    @property
+    def depths(self):
+        return [len(t) for t in self.nodes]
 
 
 def _frontier_spine(code):
@@ -383,7 +391,7 @@ def _frontier_offspine(code, depth, budget):
         return []
     cache = _frontier_spine(code)
     cache.extend(budget, length=depth)
-    path = cache.path(depth)
+    path = cache.path[:depth]
     return [path[: j - 1] + ("1" if path[j - 1] == "0" else "0") for j in range(1, depth + 1)]
 
 
@@ -473,11 +481,11 @@ def test_dead_spine_texts():
 
 
 def _counted_steps(monkeypatch):
-    """The cursor at each ``_SpineCache._step`` call from now on."""
+    """The cursor's length at each ``_SpineCache._step`` call from now on."""
     steps, step = [], codec._SpineCache._step
 
     def counted(self, budget):
-        steps.append(self.cursor)
+        steps.append(len(self.path))
         return step(self, budget)
 
     monkeypatch.setattr(codec._SpineCache, "_step", counted)
@@ -520,8 +528,41 @@ def test_finite_payload_stops_the_cursor_at_its_last_stamped_node(monkeypatch):
     steps = _counted_steps(monkeypatch)
     g = parse("coded(table(40000; 0=1/2); 1)")
     assert g.mass("0" * 40000) == F(2, 3) / 2**39999
-    assert g.base._spine.nodes == [""]
+    assert g.base._spine.depths == [0]
     assert len(steps) <= 2
+
+
+def _traced_peak_mib(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in MiB."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+LONG_PAYLOAD = "".join(random.Random(20000).choice("01") for _ in range(20000))
+
+
+@pytest.mark.parametrize(
+    "read, want, limit",
+    [
+        (lambda g: decode(g, 20000), LONG_PAYLOAD, 60),
+        # each stamped node gives child 0 one third
+        (lambda g: encode(Uniform(), ZEROS).mass("0" * 20000), F(1, 3**20000), 30),
+        (lambda g: density_limit(encode(Uniform(), "1"), "0" * 20000), NOT_YET_STABLE, 30),
+    ],
+    ids=["decode", "zeros-mass", "density-limit"],
+)
+def test_spine_memory_is_linear_in_its_length(read, want, limit):
+    # the spine holds its branch once, as one path and the node depths, and
+    # decode memoizes no node; one string per node would hold 2 * 10**8
+    # characters for 20,000 nodes
+    g = encode(Uniform(), LONG_PAYLOAD)
+    out, peak = _traced_peak_mib(lambda: read(g))
+    assert out == want and peak < limit
 
 
 @pytest.mark.parametrize("budget", [1, 2])
