@@ -165,8 +165,8 @@ class CodedMeasure(MeasureCode):
         than ``s`` or is off its branch, and every node not yet known extends it."""
         self._spine_index_of(s)
         cache, bits = _spine_cache(self.base), self.payload_bits
-        stamped = cache.depths[: None if bits is None else len(bits)]
-        reach = stamped[-1] if stamped else -1  # the last stamped node's length
+        stamped = len(cache.depths) if bits is None else min(len(cache.depths), len(bits))
+        reach = cache.depths[stamped - 1] if stamped else -1  # the last stamped node's length
         if not cache.ended and (bits is None or len(cache.depths) < len(bits)):
             reach = len(cache.path)  # the cursor's, which every node not yet found extends
         on_spine = len(s) <= reach and cache.path.startswith(s)
