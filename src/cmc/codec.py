@@ -4,15 +4,16 @@ A splitting node of a measure is a string whose two child cylinders both have
 positive mass.  Following the chain ``t_{k+1} = least splitting node extending
 t_k + '0'`` yields the spine; the encoder rescales the two children at the
 k-th spine node to an exact 2/3-1/3 split oriented by the k-th payload bit and
-leaves all other conditional masses unchanged, so the zero sets (and hence the
-measure class) of the base are preserved.  The decoder recomputes the spine
-and reads the orientation back off the exact ratios, memoizing no node.  The
-spine is found by one cursor down the leftmost branch of positive mass and
-held once, as that branch and the depths of its nodes (``_SpineCache``).
+leaves all other conditional masses unchanged, so it keeps the base's zero
+sets, measure class and spine.  The decoder reads the orientation back off the
+exact ratios, memoizing no node.  One cursor finds the spine down the leftmost
+branch of positive mass and holds it once, as that branch and its nodes'
+depths (``_SpineCache``), for the innermost uncoded base and its coded layers.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 from .bits import BitSequence, check_bitstring, check_natural, sibling
@@ -23,22 +24,28 @@ DEFAULT_BUDGET = 65536
 
 
 class _SpineCache:
-    """Lazily grown spine of one measure code, held once as ``path``.
+    """Lazily grown spine of one measure class, held once as ``path``.
 
     A cursor walks the leftmost branch of positive mass below the search
     start, one level past the last node found (the root before any).  A node
     that does not split has at most one child of positive mass, so the branch
     has one string per level; it turns to ``'0'`` at every node, and ``path``
     runs from the root to the cursor.  ``depths`` lists the node lengths, each
-    node being that prefix of ``path``, ``index`` maps each to its place and
-    ``ended`` marks a branch that ends.  The walk resumes where the last query
-    left it, carries only the sign of the cursor's mass and memoizes nothing.
+    a prefix of ``path``, ``index`` maps each to its place and ``ended`` marks
+    a branch that ends (at once, where the root has no mass).  The walk resumes
+    where it stopped and memoizes nothing; it holds its code weakly, so that a
+    code and its spine form no reference cycle.
     """
 
     def __init__(self, code):
-        self.code = code
-        self.path, self.depths, self.index, self.ended = "", [], {}, False
-        self.positive = code._mass_raw("").numerator > 0  # the sign of the cursor's mass
+        self.code = weakref.ref(code)
+        self.path, self.depths, self.index, self.ended = "", [], {}, code._mass_raw("") <= 0
+
+    def __getstate__(self):  # a pickle or deep copy carries the code itself
+        return {**vars(self), "code": self.code()}
+
+    def __setstate__(self, state):
+        vars(self).update(state, code=weakref.ref(state["code"]))
 
     def _step(self, budget):
         """Move the cursor one level down, recording it as the next node if
@@ -57,14 +64,12 @@ class _SpineCache:
             self.depths.append(len(t))
         self.ended = not (left or right)
         self.path = t if self.ended else children[0 if left else 1]
-        self.positive = True
 
     def _child(self, c):
-        """Whether the cursor's child ``c`` has positive mass: by the code's
-        rule ``(p, q)``, ``q > 0``, from the cursor's sign where it has one."""
-        code = self.code
-        rule = code._split(c, len(c), self.positive)
-        return code._mass_raw(c).numerator > 0 if rule is None else self.positive and rule[0] > 0
+        """Whether child ``c`` has positive mass; the cursor's is, so a rule's sign decides."""
+        code = self.code()
+        rule = code._split(c, len(c))
+        return code._mass_raw(c).numerator > 0 if rule is None else rule[0] > 0
 
     def extend(self, budget, count=0, length=None):
         """Search on until at least ``count`` nodes are known and, when
@@ -125,6 +130,7 @@ class CodedMeasure(MeasureCode):
         # declared payload bits, when finite (used by the serializer); a finite
         # payload stamps only its own spine nodes and leaves the rest alone
         self.payload_bits = tuple(payload) if hasattr(payload, "__len__") else None
+        self._spine = _spine_cache(base)  # encoding keeps the base's spine
 
     def _spine_index_of(self, s):
         """Index of ``s`` in the base's spine, or None.  Moves the base's
@@ -132,28 +138,23 @@ class CodedMeasure(MeasureCode):
         extends the cursor, so once it has ended, is longer than ``s`` or is
         off the branch of ``s``, the nodes found decide.  No node past a finite
         payload's last stamped one is stamped, so the cursor stops there."""
-        cache, bits = _spine_cache(self.base), self.payload_bits
+        cache, bits = self._spine, self.payload_bits
         while not cache.ended and s.startswith(cache.path):
             if bits is not None and len(cache.depths) >= len(bits):
                 break
             cache._step(self.budget)
         return cache.index.get(len(s)) if cache.path.startswith(s) else None
 
-    def _split(self, s, i, positive):
-        """The stamped 2/3-1/3 split at a stamped spine node, else the base's
-        conditional ratio, by its rule or from its masses.  Below the root a
-        cylinder has the sign of the base's, so only a ``positive`` parent
-        can be a spine node."""
+    def _split(self, s, i):
+        """The stamped 2/3-1/3 split at a spine node that the payload reaches,
+        else the base's conditional ratio, by its rule or from its masses."""
         base, u = self.base, s[: i - 1]
         if i == 1 and not base._mass_raw(""):
             return 0, 1
-        k = self._spine_index_of(u) if positive else None
-        if k is not None:
-            try:
-                return (2, 3) if (s[i - 1] == "0") == (self.payload[k] == 1) else (1, 3)
-            except IndexError:
-                pass
-        rule = base._split(s, i, positive)
+        k, bits = self._spine_index_of(u), self.payload_bits
+        if k is not None and (bits is None or k < len(bits)):
+            return (2, 3) if (s[i - 1] == "0") == (self.payload[k] == 1) else (1, 3)
+        rule = base._split(s, i)
         if rule is None:
             (a, b), (c, d) = base._read(s[:i]).as_integer_ratio(), base._read(u).as_integer_ratio()
             rule = (a * d, b * c) if c > 0 else (-a * d, -b * c)
@@ -164,7 +165,7 @@ class CodedMeasure(MeasureCode):
         ``s``.  Past ``_spine_index_of(s)`` the cursor has ended, is longer
         than ``s`` or is off its branch, and every node not yet known extends it."""
         self._spine_index_of(s)
-        cache, bits = _spine_cache(self.base), self.payload_bits
+        cache, bits = self._spine, self.payload_bits
         stamped = len(cache.depths) if bits is None else min(len(cache.depths), len(bits))
         reach = cache.depths[stamped - 1] if stamped else -1  # the last stamped node's length
         if not cache.ended and (bits is None or len(cache.depths) < len(bits)):
@@ -197,7 +198,7 @@ def decode(g, k, budget=DEFAULT_BUDGET):
     out = []
     for n, depth in enumerate(cache.depths[:k]):
         node = cache.path[:depth]
-        ratio = lambda c: g._split(c, depth + 1, True) or (g._mass_raw(c), g._mass_raw(node))
+        ratio = lambda c: g._split(c, depth + 1) or (g._mass_raw(c), g._mass_raw(node))
         (a, b), (c, d) = ratio(node + "0"), ratio(node + "1")
         if 3 * a == 2 * b and 3 * c == d:
             out.append("1")
@@ -250,9 +251,8 @@ def density_limit(g, prefix):
     spine path; NotYetStable while the prefix is an initial segment of it."""
     if not isinstance(g, CodedMeasure):
         raise TypeError("density_limit is defined for encoded measures")
-    cache = _spine_cache(g.base)
-    cache.extend(g.budget, length=len(check_bitstring(prefix)))
-    return NOT_YET_STABLE if cache.path.startswith(prefix) else Stabilized(density(g, prefix))
+    g._spine.extend(g.budget, length=len(check_bitstring(prefix)))
+    return NOT_YET_STABLE if g._spine.path.startswith(prefix) else Stabilized(density(g, prefix))
 
 
 def offspine_decomposition(code, depth, budget=DEFAULT_BUDGET):

@@ -46,7 +46,7 @@ class MeasureCode:
     def __init__(self):
         self.nesting = 0  # mixtures and coded codes on the deepest path to a leaf
         self._memo = {}
-        self._spine = None  # the codec's lazily grown splitting spine
+        self._spine = None  # the codec's lazily grown splitting spine, shared by coded layers
 
     def _nest(self, children):
         self.nesting = 1 + max(child.nesting for child in children)
@@ -67,9 +67,9 @@ class MeasureCode:
             v = self._memo[s] = self._mass_raw(s)
         return v
 
-    def _split(self, s, i, positive):
-        """Integers ``(p, q)``, ``q > 0``: ``mass(s[:i])`` is ``p/q`` of the parent's,
-        whose sign ``positive`` gives; None where the code has no such rule."""
+    def _split(self, s, i):
+        """Integers ``(p, q)``, ``q > 0``: ``mass(s[:i])`` is ``p/q`` of the
+        parent's; None where the code has no such rule."""
         return None
 
     def _mass_raw(self, s):
@@ -86,7 +86,7 @@ class MeasureCode:
         num = den = 1
         bound = 1 << 12  # bits; ratios read off masses telescope, so reduce past it
         for i in range(max(k, 0) + 1, len(s) + 1):
-            p, q = self._split(s, i, (num > 0) == (up > 0))
+            p, q = self._split(s, i)
             if not p:
                 return ZERO
             num, den = num * p, den * q
@@ -187,7 +187,7 @@ class ProductCode(MeasureCode):
             raise TypeError(f"not a schedule: {schedule!r}")
         self.schedule = schedule
 
-    def _split(self, s, i, positive):
+    def _split(self, s, i):
         p, q = self.schedule.alpha(i - 1).as_integer_ratio()
         return (p, q) if s[i - 1] == "0" else (q - p, q)
 
@@ -229,7 +229,7 @@ class TableCode(MeasureCode):
             cells[t] = entries[t] if t in entries else v - entries[sib] if sib in entries else v / 2
         self._reach = max(map(len, cells))  # no longer prefix is named
 
-    def _split(self, s, i, positive):
+    def _split(self, s, i):
         return (1, 2) if i > self._reach or s[:i] not in self._cells else None
 
     def _mass_raw(self, s):

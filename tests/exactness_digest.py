@@ -293,7 +293,7 @@ METRIC_LENGTHS = (0, 1, 2, 3, 6, 7, 8, 100, 1023, 2047)
 EXPECTED = {
     "gaps": "gaps: 3341 results, sha256 31b9ee4659e3c19a",
     "masses": "masses: 5486 results, sha256 fac7e459595087b6",
-    "spines": "spines: 55926 results, sha256 9f4fa726f68d824e",
+    "spines": "spines: 55926 results, sha256 e30e44ca683aefc5",
     "classes": "classes: 20649 results, sha256 1aca7d038f5ca4b3",
     "scans": "scans: 6461 results, sha256 a390963562ab8ac5",
     "families": "families: 438 results, sha256 c6dcf70166b8d53c",

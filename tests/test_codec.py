@@ -1,5 +1,9 @@
+import copy
+import gc
+import pickle
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -374,6 +378,9 @@ class _FrontierSpine:
 
 
 def _frontier_spine(code):
+    # encoding keeps the zero sets, so a coded code's spine is its base's
+    if isinstance(code, CodedMeasure):
+        return _frontier_spine(code.base)
     if "_frontier" not in vars(code):
         code._frontier = _FrontierSpine(code)
     return code._frontier
@@ -575,6 +582,52 @@ def test_small_budget_answers_as_a_large_one_or_refuses(budget):
                 got = _outcome(lambda: getattr(small, read)(s))
                 if not (isinstance(got, tuple) and got[0] == "BudgetExceeded"):
                     assert got == getattr(large, read)(s), (name, read, s)
+
+
+def test_coded_layers_share_one_spine_and_one_cursor(monkeypatch):
+    # encoding keeps the base's spine, so a coded code steps its base's
+    # cursor once per level, not once for itself and once for its base
+    steps = _counted_steps(monkeypatch)
+    g = encode(Uniform(), LONG_PAYLOAD[:2000])
+    assert decode(g, 2000) == LONG_PAYLOAD[:2000]
+    assert len(steps) <= 2001
+    assert g._spine is g.base._spine and encode(g, "1")._spine is g.base._spine
+
+
+def test_codes_are_freed_without_the_cycle_collector():
+    # a spine holds its code weakly, so reference counting alone frees a
+    # code once its last reference goes
+    gc.disable()
+    try:
+        g = parse("coded(convex(1/2: uniform, 1/2: product(const(1/3))); 0110)")
+        assert validate_additivity(g, 8) == "ok"
+        assert decode(g, 4) == "0110"
+        assert spine(g.base, 4).nodes == ("", "0", "00", "000", "0000")
+        refs = weakref.ref(g), weakref.ref(g.base)
+        del g
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_coded_codes_survive_pickling_and_deep_copies():
+    g = parse("coded(convex(1/2: uniform, 1/2: product(const(1/3))); 0110)")
+    assert decode(g, 4) == "0110"
+    for h in [pickle.loads(pickle.dumps(g, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)] + [
+        copy.deepcopy(g)
+    ]:
+        assert h._spine is h.base._spine is not g._spine and h._spine.code() is h.base
+        assert decode(h, 4) == "0110" and h.mass("0110") == g.mass("0110")
+        assert spine(h, 5).nodes == spine(g, 5).nodes
+
+
+def test_a_root_of_zero_mass_has_no_spine():
+    for z in (parse("table(0; =0)"), TableCode(2, {"": F(0), "01": F(1, 2)})):
+        for read in (spine, decode, offspine_decomposition):
+            with pytest.raises(BudgetExceeded, match="^spine ended: no further splitting node$"):
+                read(z, 1)
+        g = CodedMeasure(z, "1", 4)
+        assert [g.mass(s) for s in ("", "0", "01", "011")] == [1, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def test_table_matches_entry_rule(kind):
         # wherever the table gives a conditional ratio, it is the masses' ratio
         long = strings[-1]
         for s, i in [(s, len(s)) for s in strings[1:-1]] + [(long, i) for i in range(1, 601)]:
-            rule = table._split(s, i, True)
+            rule = table._split(s, i)
             if rule is not None:
                 p, q = rule
                 assert _entry_rule_mass(table, s[:i]) * q == _entry_rule_mass(table, s[: i - 1]) * p
@@ -266,7 +266,7 @@ def test_deep_table_with_shallow_entries_reads_in_linear_time():
     assert t.mass(s) == F(1, 2**5000)
     assert cells.lookups <= 2
     cells.lookups = 0
-    assert [t._split(s, i, True) for i in range(2, 5001)] == [(1, 2)] * 4999
+    assert [t._split(s, i) for i in range(2, 5001)] == [(1, 2)] * 4999
     assert cells.lookups == 0
 
 
