@@ -7,13 +7,14 @@ k-th spine node to an exact 2/3-1/3 split oriented by the k-th payload bit and
 leaves all other conditional masses unchanged, so it keeps the base's zero
 sets, measure class and spine.  The decoder reads the orientation back off the
 exact ratios, memoizing no node.  One cursor finds the spine down the leftmost
-branch of positive mass and holds it once, as that branch and its nodes'
-depths (``_SpineCache``), for the innermost uncoded base and its coded layers.
+branch of positive mass and holds it once, as plain data: the branch and node
+depths (``_SpineCache``) that an uncoded base shares with its coded layers.
 """
 
 from __future__ import annotations
 
-import weakref
+import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .bits import BitSequence, check_bitstring, check_natural, sibling
@@ -30,27 +31,19 @@ class _SpineCache:
     start, one level past the last node found (the root before any).  A node
     that does not split has at most one child of positive mass, so the branch
     has one string per level; it turns to ``'0'`` at every node, and ``path``
-    runs from the root to the cursor.  ``depths`` lists the node lengths, each
-    a prefix of ``path``, ``index`` maps each to its place and ``ended`` marks
-    a branch that ends (at once, where the root has no mass).  The walk resumes
-    where it stopped and memoizes nothing; it holds its code weakly, so that a
-    code and its spine form no reference cycle.
+    runs from the root to the cursor.  ``depths`` lists the node lengths in
+    order, each a prefix of ``path``, and ``ended`` marks a branch that ends
+    (at once, where the root has no mass).  The walk resumes where it stopped
+    and memoizes nothing.  The spine holds no code: each step is given the
+    uncoded code whose spine it is.
     """
 
     def __init__(self, code):
-        self.code = weakref.ref(code)
-        self.path, self.depths, self.index, self.ended = "", [], {}, code._mass_raw("") <= 0
+        self.path, self.depths, self.ended = "", [], code._mass_raw("") <= 0
 
-    def __getstate__(self):  # a pickle or deep copy carries the code itself
-        return {**vars(self), "code": self.code()}
-
-    def __setstate__(self, state):
-        vars(self).update(state, code=weakref.ref(state["code"]))
-
-    def _step(self, budget):
-        """Move the cursor one level down, recording it as the next node if
-        it splits; BudgetExceeded once it is over ``budget`` levels past the
-        search start."""
+    def _step(self, code, budget):
+        """Move the cursor one level down ``code``'s branch, recording it as the
+        next node if it splits; BudgetExceeded over ``budget`` levels past the search start."""
         t = self.path
         start = self.depths[-1] + 1 if self.depths else 0
         if len(t) - start > budget:
@@ -58,34 +51,35 @@ class _SpineCache:
                 f"no splitting node extending {t[:start]!r} within {budget} levels"
             )
         children = t + "0", t + "1"
-        left, right = map(self._child, children)
+        left, right = _positive(code, children[0]), _positive(code, children[1])
         if left and right:
-            self.index[len(t)] = len(self.depths)
             self.depths.append(len(t))
         self.ended = not (left or right)
         self.path = t if self.ended else children[0 if left else 1]
 
-    def _child(self, c):
-        """Whether child ``c`` has positive mass; the cursor's is, so a rule's sign decides."""
-        code = self.code()
-        rule = code._split(c, len(c))
-        return code._mass_raw(c).numerator > 0 if rule is None else rule[0] > 0
-
-    def extend(self, budget, count=0, length=None):
-        """Search on until at least ``count`` nodes are known and, when
-        ``length`` is given, the last of them is at least that long; raises
-        BudgetExceeded where the spine ends."""
+    def extend(self, code, budget, count=0, length=None):
+        """Search on down ``code``'s branch until at least ``count`` nodes
+        are known and, when ``length`` is given, the last of them is at least
+        that long; raises BudgetExceeded where the spine ends."""
         depths = self.depths
         while len(depths) < count or (length is not None and (not depths or depths[-1] < length)):
             if self.ended:
                 raise BudgetExceeded("spine ended: no further splitting node")
-            self._step(budget)
+            self._step(code, budget)
+
+
+def _positive(code, c):
+    """Whether child ``c`` has positive mass; the cursor's is, so a rule's sign decides."""
+    rule = code._split(c, len(c))
+    return code._mass_raw(c).numerator > 0 if rule is None else rule[0] > 0
 
 
 def _spine_cache(code):
-    if code._spine is None:
-        code._spine = _SpineCache(code)
-    return code._spine
+    """The uncoded code whose spine ``code`` shares (it or its innermost base), and the spine."""
+    root = getattr(code, "_root", code)
+    if root._spine is None:
+        root._spine = _SpineCache(root)
+    return root, root._spine
 
 
 class SplittingSpine(Record):
@@ -102,8 +96,8 @@ def spine(code, n, budget=DEFAULT_BUDGET):
     splits); thereafter ``t_{k+1}`` extends ``t_k + '0'``.
     """
     check_natural(n, "spine index")
-    cache = _spine_cache(code)
-    cache.extend(check_natural(budget, "budget"), count=n + 1)
+    root, cache = _spine_cache(code)
+    cache.extend(root, check_natural(budget, "budget"), count=n + 1)
     return SplittingSpine(tuple(cache.path[:d] for d in cache.depths[: n + 1]), code)
 
 
@@ -127,23 +121,25 @@ class CodedMeasure(MeasureCode):
             payload = tuple(map(int, check_bitstring(payload)))
         self.payload = payload
         self.budget = budget
-        # declared payload bits, when finite (used by the serializer); a finite
-        # payload stamps only its own spine nodes and leaves the rest alone
+        # the declared payload bits, when finite (for the serializer), and the nodes they stamp
         self.payload_bits = tuple(payload) if hasattr(payload, "__len__") else None
-        self._spine = _spine_cache(base)  # encoding keeps the base's spine
+        self._stamps = math.inf if self.payload_bits is None else len(self.payload_bits)
+        self._root, self._spine = _spine_cache(base)  # encoding keeps the base's spine
 
     def _spine_index_of(self, s):
-        """Index of ``s`` in the base's spine, or None.  Moves the base's
-        spine cursor only while ``s`` extends it: every node not yet found
-        extends the cursor, so once it has ended, is longer than ``s`` or is
-        off the branch of ``s``, the nodes found decide.  No node past a finite
-        payload's last stamped one is stamped, so the cursor stops there."""
-        cache, bits = self._spine, self.payload_bits
-        while not cache.ended and s.startswith(cache.path):
-            if bits is not None and len(cache.depths) >= len(bits):
-                break
-            cache._step(self.budget)
-        return cache.index.get(len(s)) if cache.path.startswith(s) else None
+        """Index of ``s`` in the base's spine if the payload stamps it, else None.
+        Steps the cursor only while ``s`` extends it and a node is left to stamp:
+        every node not yet found extends the cursor, so once it has ended, is
+        longer than ``s`` or is off the branch of ``s``, the nodes found decide."""
+        cache = self._spine
+        while not cache.ended and s.startswith(cache.path) and len(cache.depths) < self._stamps:
+            cache._step(self._root, self.budget)
+        if cache.path.startswith(s):
+            depths, n = cache.depths, len(s)
+            k = bisect_left(depths, n)  # the node of length n, if any
+            if k < len(depths) and depths[k] == n and k < self._stamps:
+                return k
+        return None
 
     def _split(self, s, i):
         """The stamped 2/3-1/3 split at a spine node that the payload reaches,
@@ -151,8 +147,8 @@ class CodedMeasure(MeasureCode):
         base, u = self.base, s[: i - 1]
         if i == 1 and not base._mass_raw(""):
             return 0, 1
-        k, bits = self._spine_index_of(u), self.payload_bits
-        if k is not None and (bits is None or k < len(bits)):
+        k = self._spine_index_of(u)
+        if k is not None:
             return (2, 3) if (s[i - 1] == "0") == (self.payload[k] == 1) else (1, 3)
         rule = base._split(s, i)
         if rule is None:
@@ -165,10 +161,10 @@ class CodedMeasure(MeasureCode):
         ``s``.  Past ``_spine_index_of(s)`` the cursor has ended, is longer
         than ``s`` or is off its branch, and every node not yet known extends it."""
         self._spine_index_of(s)
-        cache, bits = self._spine, self.payload_bits
-        stamped = len(cache.depths) if bits is None else min(len(cache.depths), len(bits))
+        cache = self._spine
+        stamped = min(len(cache.depths), self._stamps)
         reach = cache.depths[stamped - 1] if stamped else -1  # the last stamped node's length
-        if not cache.ended and (bits is None or len(cache.depths) < len(bits)):
+        if not cache.ended and len(cache.depths) < self._stamps:
             reach = len(cache.path)  # the cursor's, which every node not yet found extends
         on_spine = len(s) <= reach and cache.path.startswith(s)
         return None if on_spine else self.base.product_below(s)
@@ -193,8 +189,8 @@ def decode(g, k, budget=DEFAULT_BUDGET):
     unmemoized masses, so no node is memoized.
     """
     check_natural(k, "k")
-    cache = _spine_cache(g)
-    cache.extend(check_natural(budget, "budget"), count=k)
+    root, cache = _spine_cache(g)
+    cache.extend(root, check_natural(budget, "budget"), count=k)
     out = []
     for n, depth in enumerate(cache.depths[:k]):
         node = cache.path[:depth]
@@ -251,7 +247,7 @@ def density_limit(g, prefix):
     spine path; NotYetStable while the prefix is an initial segment of it."""
     if not isinstance(g, CodedMeasure):
         raise TypeError("density_limit is defined for encoded measures")
-    g._spine.extend(g.budget, length=len(check_bitstring(prefix)))
+    g._spine.extend(g._root, g.budget, length=len(check_bitstring(prefix)))
     return NOT_YET_STABLE if g._spine.path.startswith(prefix) else Stabilized(density(g, prefix))
 
 
@@ -262,6 +258,6 @@ def offspine_decomposition(code, depth, budget=DEFAULT_BUDGET):
     everything."""
     if check_natural(depth, "depth") == 0:
         return []
-    cache = _spine_cache(code)
-    cache.extend(check_natural(budget, "budget"), length=depth)
+    root, cache = _spine_cache(code)
+    cache.extend(root, check_natural(budget, "budget"), length=depth)
     return [sibling(cache.path[:j]) for j in range(1, depth + 1)]

@@ -326,15 +326,13 @@ class _FrontierSpine:
     is a prefix of ``within``: a string off the frontier's branch is not a
     node yet to be found.  An uncapped one raises."""
 
-    def __init__(self, code):
-        self.code = code
+    def __init__(self):
         self.nodes = []
         self.index = {}
         self.start = ""
         self.frontier = None
 
-    def step(self, cap, budget, within=None):
-        code = self.code
+    def step(self, code, cap, budget, within=None):
         if self.frontier is None:
             self.frontier = [self.start]
         while True:
@@ -358,10 +356,10 @@ class _FrontierSpine:
                     return "found"
             self.frontier = [t + b for t in self.frontier for b in "01" if code.mass(t + b) > 0]
 
-    def extend(self, budget, count=0, length=None, cap=float("inf"), within=None):
+    def extend(self, code, budget, count=0, length=None, cap=float("inf"), within=None):
         nodes = self.nodes
         while len(nodes) < count or (length is not None and (not nodes or len(nodes[-1]) < length)):
-            if self.step(cap, budget, within) != "found":
+            if self.step(code, cap, budget, within) != "found":
                 if cap == float("inf"):
                     raise BudgetExceeded("spine ended: no further splitting node")
                 return
@@ -382,22 +380,23 @@ def _frontier_spine(code):
     if isinstance(code, CodedMeasure):
         return _frontier_spine(code.base)
     if "_frontier" not in vars(code):
-        code._frontier = _FrontierSpine(code)
-    return code._frontier
+        code._frontier = _FrontierSpine()
+    return code, code._frontier
 
 
 class _FrontierCoded(CodedMeasure):
     def _spine_index_of(self, s):
-        cache = _frontier_spine(self.base)
-        cache.extend(self.budget, length=len(s) + 1, cap=len(s), within=s)
-        return cache.index.get(s)
+        root, cache = _frontier_spine(self.base)
+        cache.extend(root, self.budget, length=len(s) + 1, cap=len(s), within=s)
+        k = cache.index.get(s)
+        return k if k is not None and k < len(self.payload) else None
 
 
 def _frontier_offspine(code, depth, budget):
     if depth == 0:
         return []
-    cache = _frontier_spine(code)
-    cache.extend(budget, length=depth)
+    root, cache = _frontier_spine(code)
+    cache.extend(root, budget, length=depth)
     path = cache.path[:depth]
     return [path[: j - 1] + ("1" if path[j - 1] == "0" else "0") for j in range(1, depth + 1)]
 
@@ -491,9 +490,9 @@ def _counted_steps(monkeypatch):
     """The cursor's length at each ``_SpineCache._step`` call from now on."""
     steps, step = [], codec._SpineCache._step
 
-    def counted(self, budget):
+    def counted(self, *args):
         steps.append(len(self.path))
-        return step(self, budget)
+        return step(self, *args)
 
     monkeypatch.setattr(codec._SpineCache, "_step", counted)
     return steps
@@ -595,8 +594,8 @@ def test_coded_layers_share_one_spine_and_one_cursor(monkeypatch):
 
 
 def test_codes_are_freed_without_the_cycle_collector():
-    # a spine holds its code weakly, so reference counting alone frees a
-    # code once its last reference goes
+    # a spine holds no code, so reference counting alone frees a code once
+    # its last reference goes
     gc.disable()
     try:
         g = parse("coded(convex(1/2: uniform, 1/2: product(const(1/3))); 0110)")
@@ -616,9 +615,46 @@ def test_coded_codes_survive_pickling_and_deep_copies():
     for h in [pickle.loads(pickle.dumps(g, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)] + [
         copy.deepcopy(g)
     ]:
-        assert h._spine is h.base._spine is not g._spine and h._spine.code() is h.base
+        assert h._spine is h.base._spine is not g._spine
         assert decode(h, 4) == "0110" and h.mass("0110") == g.mass("0110")
         assert spine(h, 5).nodes == spine(g, 5).nodes
+
+
+def test_a_shallow_copy_steps_the_spine_after_the_original_is_freed():
+    # a copy shares its original's spine, which holds no code, so the copy
+    # walks it on once the original is gone
+    u = Uniform()
+    assert spine(u, 3).nodes == ("", "0", "00", "000")
+    v = copy.copy(u)
+    del u
+    assert spine(v, 5).nodes == ("", "0", "00", "000", "0000", "00000")
+
+
+def test_a_long_decode_leaves_a_small_spine():
+    # the spine holds the branch and one depth per node, and no map from
+    # depth to node index
+    payload = "".join(random.Random(40000).choice("01") for _ in range(40000))
+    g = encode(Uniform(), payload)
+    tracemalloc.start()
+    try:
+        assert decode(g, 40000) == payload
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * 2**20
+
+
+def test_a_coded_code_stamps_only_its_own_nodes_of_a_shared_spine():
+    # a layer coded over g1 grows the shared spine to 4 nodes; g1 still
+    # stamps the root only and reads its base's ratios below it
+    g1 = encode(Uniform(), "1")
+    assert decode(encode(g1, "0110"), 4) == "0110"
+    assert g1._spine.depths == [0, 1, 2, 3]
+    assert g1.mass("00") == F(1, 3)
+    assert g1.product_below("0") is UNIFORM_SCHEDULE
+    with pytest.raises(NotInCodingDomain) as err:
+        decode(g1, 2)
+    assert (err.value.index, err.value.node) == (1, "0")
 
 
 def test_a_root_of_zero_mass_has_no_spine():

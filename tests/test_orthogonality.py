@@ -589,6 +589,14 @@ def test_ortho_certificate_inconclusive_shallow():
     assert out.at_depth == 12
 
 
+def test_ortho_certificate_scans_every_depth_of_an_inconsistent_table():
+    # cell 0 holds all the mass but its children none, so the gap is not
+    # monotone in depth; the best gap is at depth 1, not at max_depth
+    nu = parse("table(2; 0=1, 00=0, 01=0, 1=0)")
+    assert [gap(Uniform(), nu, d) for d in range(4)] == [0, F(1, 2), 0, 0]
+    assert ortho_certificate(Uniform(), nu, F(1, 4), 3) == Inconclusive(F(1, 2), 1)
+
+
 def test_ortho_certificate_affinity_prefilter():
     # deep sweep over product measures short-circuits via the affinity bound
     out = ortho_certificate(Uniform(), ProductCode(ConstantSchedule(F(1, 3))), F(1, 20), 48)
